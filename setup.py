@@ -15,7 +15,6 @@ setup(
     install_requires=["networkx"],
     extras_require={
         "test": ["pytest", "pytest-benchmark", "hypothesis"],
-        "fast": ["numpy"],
     },
     entry_points={
         "console_scripts": [

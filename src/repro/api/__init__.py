@@ -19,14 +19,13 @@ The legacy :class:`~repro.fleet.runner.FleetRunner` survives as a thin
 deprecation shim over this layer.
 """
 
-from repro.api.config import PRESETS, ConfigError, ExperimentConfig
+from repro.api.config import PRESETS, ExperimentConfig
 from repro.api.session import FleetSession, run_experiment
 from repro.fleet.resilience import ChunkFailedError, FaultPlan, RetryPolicy
 
 __all__ = [
     "PRESETS",
     "ChunkFailedError",
-    "ConfigError",
     "ExperimentConfig",
     "FaultPlan",
     "FleetSession",

@@ -41,7 +41,7 @@ import signal
 import sys
 from typing import Sequence
 
-from repro.api.config import BACKENDS, PRESETS, ExperimentConfig
+from repro.api.config import PRESETS, ExperimentConfig
 from repro.api.session import FleetSession
 from repro.fleet.resilience import FaultPlan, FleetExecutionError
 from repro.fleet.scenarios import get_scenario, registered_scenarios
@@ -153,18 +153,6 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
             "through shared memory (default; falls back to pickle where "
             "unavailable), 'pickle' sends pickled lists -- fingerprints "
             "are identical either way"
-        ),
-    )
-    parser.add_argument(
-        "--backend",
-        choices=list(BACKENDS),
-        default=None,
-        help=(
-            "chunk execution backend: 'object' runs every vehicle through "
-            "the object kernel, 'vectorised' runs eligible chunks in numpy "
-            "lockstep (requires counters retention, compiled tables and "
-            "numpy), 'auto' picks vectorised when eligible and available -- "
-            "fingerprints are identical across backends"
         ),
     )
     parser.add_argument(
@@ -456,7 +444,6 @@ _FLAG_FIELDS = (
     ("workers", "workers"),
     ("chunk_size", "chunk_size"),
     ("spec_transfer", "spec_transfer"),
-    ("backend", "backend"),
     ("reuse_cars", "reuse_cars"),
     ("compile_tables", "compile_tables"),
     ("max_retries", "retry"),
@@ -566,18 +553,12 @@ def _cmd_metrics_show(args: argparse.Namespace) -> int:
 
 
 def _scenario_payload(scenario) -> dict:
-    # Backend eligibility is a property of the scenario's scripts (no
-    # vehicle is simulated and numpy is not required), so users can
-    # predict what backend="auto" will do for this workload.
-    from repro.fleet.vectorised import scenario_backend_eligibility
-
     return {
         "name": scenario.name,
         "description": scenario.description,
         "duration_s": scenario.duration_s,
         "mix": dict(scenario.mix),
         "parameters": dict(scenario.parameters),
-        "backend": scenario_backend_eligibility(scenario),
     }
 
 
@@ -609,13 +590,6 @@ def _cmd_scenarios_show(args: argparse.Namespace) -> int:
             print(f"  {key:<14} {value!r}")
     else:
         print("  (none)")
-    eligibility = _scenario_payload(scenario)["backend"]
-    if eligibility["vectorisable"]:
-        print("backend     : vectorisable (backend='auto' runs numpy lockstep)")
-    else:
-        print("backend     : object-only")
-        print(f"  reason: {eligibility['reason']}")
-    print(f"  action kinds: {', '.join(eligibility['action_kinds'])}")
     return 0
 
 

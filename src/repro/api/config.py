@@ -24,7 +24,10 @@ described in terms of:
 All three produce bit-identical fleet fingerprints for the same
 (scenario, vehicles, seed) -- the presets move time and memory around,
 never results (the trace-level, pooled-reuse and compiled-table
-equivalence suites prove it).
+equivalence suites prove it).  The default and ``throughput()`` configs
+also serve repeated behaviour keys from the outcome memo
+(:class:`~repro.fleet.runner.OutcomeMemo`); ``debug()`` and
+``faithful()`` simulate every vehicle.
 """
 
 from __future__ import annotations
@@ -58,22 +61,13 @@ _OPTIONAL_KEYS = (
     "retry",
     "chunk_timeout_s",
     "degrade",
-    "backend",
 )
 
-#: Valid ``ExperimentConfig.backend`` values: the authoritative object
-#: kernel, the numpy lockstep backend, or runtime auto-selection.
-BACKENDS = ("object", "vectorised", "auto")
-
-
-class ConfigError(ValueError):
-    """An experiment config is invalid or unsatisfiable in this environment.
-
-    Subclasses :class:`ValueError` so existing ``except ValueError``
-    handlers (the CLI's error path included) keep working; raised with
-    actionable messages for config-level failures such as selecting
-    ``backend="vectorised"`` without numpy installed.
-    """
+#: Keys older configs carried that no longer mean anything: ``from_dict``
+#: drops them, so saved reports and queued service jobs still load.
+#: ``backend`` chose between execution engines whose fingerprints were
+#: identical by construction.
+_LEGACY_KEYS = ("backend",)
 
 #: Field overrides applied by :meth:`ExperimentConfig.preset`.
 PRESETS: dict[str, dict[str, object]] = {
@@ -99,10 +93,6 @@ PRESETS: dict[str, dict[str, object]] = {
         "retry": 2,
         "chunk_timeout_s": 120.0,
         "degrade": True,
-        # Auto-select the vectorised lockstep backend when numpy is
-        # installed and the parity gate passes; object otherwise.
-        # Fingerprints are bit-identical either way.
-        "backend": "auto",
     },
     "faithful": {
         "workers": 1,
@@ -184,17 +174,13 @@ class ExperimentConfig:
         the run.  ``False`` surfaces a
         :class:`~repro.fleet.resilience.ChunkFailedError` instead.
         Fingerprints are identical along the whole ladder.
-    backend:
-        Execution backend for chunk simulation.  ``"object"`` (default)
-        runs every vehicle through the authoritative object kernel;
-        ``"vectorised"`` runs eligible chunks in numpy lockstep (see
-        :mod:`repro.fleet.vectorised`) and requires
-        ``trace_level="counters"``, ``compile_tables=True`` and numpy
-        installed (``pip install repro[fast]``) -- selecting it without
-        numpy raises :class:`ConfigError` at session time; ``"auto"``
-        picks vectorised when eligible and available, object otherwise.
-        Fingerprints are bit-identical across backends (enforced by the
-        registry-wide parity gate before vectorised is selectable).
+
+    With ``trace_level="counters"`` and ``compile_tables=True`` (the
+    defaults) a run simulates each distinct behaviour key once and
+    serves repeats from an outcome memo; the result's ``kernel_runs``
+    says how many vehicles ran the kernel.  There is no switch for it:
+    fingerprints are identical either way, and the other trace levels
+    or ``compile_tables=False`` simulate every vehicle.
     """
 
     scenario: str
@@ -213,7 +199,6 @@ class ExperimentConfig:
     retry: int = 2
     chunk_timeout_s: float | None = None
     degrade: bool = True
-    backend: str = "object"
 
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, str) or not self.scenario.strip():
@@ -255,25 +240,6 @@ class ExperimentConfig:
             object.__setattr__(self, "chunk_timeout_s", float(self.chunk_timeout_s))
             if self.chunk_timeout_s <= 0:
                 raise ValueError("chunk_timeout_s must be > 0 or None")
-        if self.backend not in BACKENDS:
-            raise ConfigError(
-                f"unknown backend {self.backend!r}; known: {BACKENDS}"
-            )
-        if self.backend == "vectorised":
-            # The lockstep regime is exactly what the parity gate proves;
-            # "auto" relaxes to the object kernel outside it instead.
-            if self.trace_level is not TraceLevel.COUNTERS:
-                raise ConfigError(
-                    "backend='vectorised' requires trace_level='counters' "
-                    f"(got {self.trace_level.value!r}); use backend='auto' "
-                    "to fall back to the object kernel instead"
-                )
-            if not self.compile_tables:
-                raise ConfigError(
-                    "backend='vectorised' requires compile_tables=True; "
-                    "use backend='auto' to fall back to the object kernel "
-                    "instead"
-                )
 
     # -- derivation -----------------------------------------------------------
 
@@ -355,7 +321,6 @@ class ExperimentConfig:
             "retry": self.retry,
             "chunk_timeout_s": self.chunk_timeout_s,
             "degrade": self.degrade,
-            "backend": self.backend,
         }
 
     @classmethod
@@ -364,7 +329,10 @@ class ExperimentConfig:
 
         Unknown keys are rejected with the allowed key set named -- a
         typo'd key would otherwise silently run a different experiment.
+        Legacy keys (:data:`_LEGACY_KEYS`) are dropped: they never
+        changed a fingerprint.
         """
+        data = {key: value for key, value in data.items() if key not in _LEGACY_KEYS}
         _check_keys(data, "ExperimentConfig", _REQUIRED_KEYS, _OPTIONAL_KEYS)
         return cls(**data)
 
@@ -432,8 +400,6 @@ class ExperimentConfig:
             "none" if self.inbox_limit is None else str(self.inbox_limit),
             "--spec-transfer",
             self.spec_transfer,
-            "--backend",
-            self.backend,
             "--max-retries",
             str(self.retry),
             "--chunk-timeout",

@@ -34,6 +34,11 @@ Everything the session does is a pure function of the config: the same
 config reproduces the same fingerprint here, in the legacy
 :class:`~repro.fleet.runner.FleetRunner` shim, and from the shell via
 ``python -m repro fleet run``.
+
+Vehicles that repeat a behaviour key are simulated once: in
+``COUNTERS`` retention with compiled tables, inline runs consult the
+session's :class:`~repro.fleet.runner.OutcomeMemo` and each worker
+process its own, both shared across chunks and runs.
 """
 
 from __future__ import annotations
@@ -48,7 +53,6 @@ from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
-from repro.can.trace import TraceLevel
 from repro.casestudy.builder import CarPool, CaseStudyBuilder
 from repro.fleet import runner as _fleet_runner
 from repro.fleet.resilience import (
@@ -59,12 +63,14 @@ from repro.fleet.resilience import (
 )
 from repro.fleet.results import FleetResult, StreamingFleetAggregator, VehicleOutcome
 from repro.fleet.runner import (
+    OutcomeMemo,
     _chunked,
     _init_worker,
     _process_builder,
     _process_pool,
     _simulate_chunk,
     _simulate_chunk_shm,
+    memo_applies,
     simulate_vehicle,
 )
 from repro.obs import clock
@@ -84,7 +90,7 @@ from repro.fleet.transfer import (
     write_block,
 )
 
-from repro.api.config import ConfigError, ExperimentConfig
+from repro.api.config import ExperimentConfig
 
 
 class _ChunkAttempt:
@@ -202,6 +208,10 @@ class FleetSession:
         #: chunks complete; empty for inline and telemetry-off runs.
         self._worker_snapshot = MetricsSnapshot()
         self._car_pool: CarPool | None = None
+        #: Outcome memo of this session's inline runs (workers keep
+        #: their own); never shared, so an injected builder's outcomes
+        #: stay with the session that built them.
+        self._memo = OutcomeMemo()
         self._mp_pools: dict[int, multiprocessing.pool.Pool] = {}
         self._last_result: FleetResult | None = None
         #: Async results abandoned mid-stream whose workers were still
@@ -461,10 +471,6 @@ class FleetSession:
             raise RuntimeError("session is closed")
         self._last_result = None
         registry = self._registry
-        # Resolve "auto"/"vectorised" to a concrete backend before the
-        # session registry activates: the parity gate simulates probe
-        # fleets, and those must not pollute this run's telemetry.
-        backend = self._resolve_backend(config)
         # Activate for the stream's lifetime so inline simulation and
         # parent-side instrumented paths (pool, shm transfer) report
         # here; the previous registry is restored even on abandonment.
@@ -476,13 +482,9 @@ class FleetSession:
                 registry.inc("session.runs")
                 specs = self._timed_spec_stream(registry, specs)
             if config.workers == 1 or total <= 1:
-                source = self._simulate_inline(
-                    config, specs, backend=backend, total=total
-                )
+                source = self._simulate_inline(config, specs)
             else:
-                source = self._simulate_parallel(
-                    config, specs, total, backend=backend
-                )
+                source = self._simulate_parallel(config, specs, total)
             if registry.enabled:
                 for outcome in source:
                     fold_start = clock.wall()
@@ -532,88 +534,29 @@ class FleetSession:
         if pool is not None:
             registry.set_gauge("pool.size", float(len(pool)))
 
-    def _resolve_backend(self, config: ExperimentConfig) -> str:
-        """The concrete backend this run executes with.
-
-        ``"object"`` passes straight through.  ``"vectorised"`` demands
-        its prerequisites: numpy installed (a clear :class:`ConfigError`
-        otherwise -- the config itself already enforced counters
-        retention and compiled tables) and a passing registry-wide
-        parity gate (:func:`repro.fleet.vectorised.parity_gate`, cached
-        per registry state).  ``"auto"`` selects vectorised exactly when
-        all of those hold and silently keeps the object kernel
-        otherwise -- fingerprints are bit-identical either way, so auto
-        only ever moves wall time.
-        """
-        if config.backend == "object":
-            return "object"
-        from repro.fleet import vectorised
-
-        if config.backend == "vectorised":
-            if not vectorised.numpy_available():
-                raise ConfigError(
-                    "backend='vectorised' requires numpy, which is not "
-                    "installed; install the optional extra (pip install "
-                    "repro[fast]) or use backend='auto' to fall back to "
-                    "the object kernel"
-                )
-            vectorised.parity_gate()
-            return "vectorised"
-        # "auto": lockstep when eligible, available and proven.
-        if (
-            vectorised.numpy_available()
-            and config.trace_level is TraceLevel.COUNTERS
-            and config.compile_tables
-        ):
-            try:
-                vectorised.parity_gate()
-            except vectorised.BackendParityError:
-                return "object"
-            return "vectorised"
-        return "object"
-
     def _simulate_inline(
-        self,
-        config: ExperimentConfig,
-        specs: Iterable[VehicleSpec],
-        backend: str = "object",
-        total: int | None = None,
+        self, config: ExperimentConfig, specs: Iterable[VehicleSpec]
     ) -> Iterator[VehicleOutcome]:
-        builder = self.builder
-        pool = self._inline_car_pool() if config.reuse_cars else None
-        if backend == "vectorised":
-            from repro.fleet import vectorised
-
-            # Lockstep gains scale with dedup opportunity, so inline
-            # runs still chunk the stream: parent memory stays O(chunk)
-            # while each chunk collapses to its behaviour classes.
-            for chunk in _chunked(specs, config.effective_chunk_size(total)):
-                yield from vectorised.simulate_specs_vectorised(
-                    chunk,
-                    trace_level=config.trace_level,
-                    inbox_limit=config.inbox_limit,
-                    reuse_cars=config.reuse_cars,
-                    compile_tables=config.compile_tables,
-                    builder=builder,
-                    pool=pool,
-                )
-            return
-        for spec in specs:
-            yield simulate_vehicle(
-                spec,
-                builder,
-                trace_level=config.trace_level,
-                inbox_limit=config.inbox_limit,
-                pool=pool,
-                compile_tables=config.compile_tables,
-            )
+        # Bound per run, so a wrapper installed on the module-level
+        # simulate_vehicle between runs (perfbench's layer tracer) sees
+        # every kernel run.
+        simulate = partial(
+            simulate_vehicle,
+            builder=self.builder,
+            trace_level=config.trace_level,
+            inbox_limit=config.inbox_limit,
+            pool=self._inline_car_pool() if config.reuse_cars else None,
+            compile_tables=config.compile_tables,
+        )
+        if memo_applies(config.trace_level, config.compile_tables):
+            return self._memo.outcomes(specs, simulate, config.inbox_limit)
+        return map(simulate, specs)
 
     def _simulate_parallel(
         self,
         config: ExperimentConfig,
         specs: Iterable[VehicleSpec],
         total: int,
-        backend: str = "object",
     ) -> Iterator[VehicleOutcome]:
         self._sweep_orphans()
         chunk_size = config.effective_chunk_size(total)
@@ -632,7 +575,6 @@ class FleetSession:
             reuse_cars=config.reuse_cars,
             compile_tables=config.compile_tables,
             telemetry=registry.enabled,
-            backend=backend,
         )
         pool = self._mp_pool(config.workers)
         simulate_shm = partial(_simulate_chunk_shm, **worker_kwargs)
@@ -709,11 +651,7 @@ class FleetSession:
             """
             if registry.enabled:
                 registry.inc("resilience.degraded_chunks")
-            return list(
-                self._simulate_inline(
-                    config, record.materialise_specs(), backend=backend
-                )
-            )
+            return list(self._simulate_inline(config, record.materialise_specs()))
 
         def complete(record: _ChunkAttempt):
             """Drive one chunk to completion through retries.

@@ -117,20 +117,6 @@ class CompiledDecisionTable:
             return bool(self.write_mask[can_id >> 3] >> (can_id & 7) & 1)
         return can_id in self.write_overflow
 
-    def bitset_buffers(self) -> tuple[memoryview, memoryview]:
-        """Zero-copy ``(read, write)`` bitset views for array backends.
-
-        The vectorised fleet backend probes these through
-        ``numpy.frombuffer`` -- one uint8 view per direction, each
-        :data:`MASK_BYTES` long, sharing the table's immutable bytes --
-        so a whole identifier array is permit-checked in one expression
-        (``bits[ids >> 3] >> (ids & 7) & 1``) with bit-identical
-        results to :meth:`may_read` / :meth:`may_write` over the
-        standard space.  Extended identifiers stay in the overflow
-        frozensets.
-        """
-        return memoryview(self.read_mask), memoryview(self.write_mask)
-
     # -- introspection ------------------------------------------------------------
 
     def read_ids(self) -> frozenset[int]:

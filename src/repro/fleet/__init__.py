@@ -15,7 +15,9 @@ thousands of vehicles in one call:
   decorator on a script factory) or for one ``with`` block via
   :func:`temporary_scenario`.
 * :mod:`repro.fleet.runner` -- :func:`simulate_vehicle` (one spec to one
-  outcome) plus the per-process worker plumbing.  The
+  outcome), the bounded :class:`OutcomeMemo` that simulates each
+  distinct behaviour key once in counters-mode runs (``fuzz`` specs key
+  on their seed too), plus the per-process worker plumbing.  The
   :class:`~repro.fleet.runner.FleetRunner` class is a deprecation shim;
   orchestrate through :class:`repro.api.FleetSession` with an
   :class:`repro.api.ExperimentConfig` instead.
@@ -25,20 +27,15 @@ thousands of vehicles in one call:
   handles on the pipe.
 * :mod:`repro.fleet.results` -- aggregation of per-vehicle outcomes into
   fleet metrics (block rates, enforcement latency percentiles,
-  frames/sec) with a determinism fingerprint; the streaming variant
-  folds in vehicle-id order without retaining outcomes.
+  frames/sec, kernel runs versus memo hits) with a determinism
+  fingerprint; the streaming variant folds in vehicle-id order without
+  retaining outcomes.
 * :mod:`repro.fleet.resilience` -- fault tolerance for the parallel
   path: deterministic retry backoff (:class:`RetryPolicy`), the
   shm->pickle->inline degradation ladder (:class:`CircuitBreaker`) and
   the seeded fault-injection harness (:class:`FaultPlan`).  Chunks are
   pure functions of their specs, so recovery never moves a fingerprint
   bit.
-* :mod:`repro.fleet.vectorised` -- the numpy lockstep backend for
-  counters-mode chunks (``ExperimentConfig(backend="vectorised")`` /
-  ``"auto"``): same-behaviour vehicles share one object-kernel run and
-  their outcome columns broadcast as array ops, guarded by a
-  registry-wide parity gate asserting bit-identical fingerprints
-  against the object kernel.
 
 Aggregates are bit-identical for any worker count at the same seed.
 """
@@ -59,17 +56,8 @@ from repro.fleet.results import (
     StreamingFleetAggregator,
     VehicleOutcome,
 )
-from repro.fleet.runner import FleetRunner, VehicleSpec, simulate_vehicle
+from repro.fleet.runner import FleetRunner, OutcomeMemo, VehicleSpec, simulate_vehicle
 from repro.fleet.transfer import OutcomeBlock, ShmHandle, SpecBlock
-from repro.fleet.vectorised import (
-    BackendParityError,
-    BackendUnavailableError,
-    numpy_available,
-    parity_gate,
-    scenario_backend_eligibility,
-    simulate_specs_vectorised,
-    spec_eligibility,
-)
 from repro.fleet.scenarios import (
     FleetScenario,
     VehicleAction,
@@ -81,8 +69,6 @@ from repro.fleet.scenarios import (
 )
 
 __all__ = [
-    "BackendParityError",
-    "BackendUnavailableError",
     "ChunkFailedError",
     "CircuitBreaker",
     "FaultEvent",
@@ -95,6 +81,7 @@ __all__ = [
     "FleetScenario",
     "InjectedFaultError",
     "OutcomeBlock",
+    "OutcomeMemo",
     "RetryPolicy",
     "ShmHandle",
     "SpecBlock",
@@ -103,14 +90,9 @@ __all__ = [
     "VehicleOutcome",
     "VehicleSpec",
     "get_scenario",
-    "numpy_available",
-    "parity_gate",
     "register_scenario",
     "registered_scenarios",
-    "scenario_backend_eligibility",
-    "simulate_specs_vectorised",
     "simulate_vehicle",
-    "spec_eligibility",
     "temporary_scenario",
     "unregister_scenario",
 ]

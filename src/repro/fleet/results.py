@@ -7,11 +7,12 @@ per vehicle as a 10-car one.  The finished :class:`FleetResult` is what
 benchmarks and :mod:`repro.analysis` consume.
 
 Determinism contract: every field of :class:`VehicleOutcome` except
-``wall_seconds`` is a pure function of the vehicle spec (seed, script,
-enforcement), and aggregation sorts by vehicle id before summing, so
-:meth:`FleetResult.fingerprint` is bit-identical for any worker count.
-Wall-clock throughput (``frames_per_second``) is reported alongside but
-deliberately excluded from the fingerprint.
+the timings and ``memo_hit`` is a pure function of the vehicle spec
+(seed, script, enforcement), and aggregation sorts by vehicle id before
+summing, so :meth:`FleetResult.fingerprint` is bit-identical for any
+worker count.  Wall-clock throughput (``frames_per_second``) and the
+kernel-run count are reported alongside but deliberately excluded from
+the fingerprint.
 """
 
 from __future__ import annotations
@@ -56,6 +57,9 @@ class VehicleOutcome:
     #: simulation time.  Neither field is part of the fingerprint.
     wall_seconds: float = 0.0
     build_seconds: float = 0.0
+    #: Served by :class:`~repro.fleet.runner.OutcomeMemo` from an
+    #: earlier vehicle's kernel run (timings then 0); not fingerprinted.
+    memo_hit: bool = False
 
     def deterministic_tuple(self) -> tuple:
         """Every field that must be identical across worker counts."""
@@ -119,6 +123,7 @@ OUTCOME_COLUMNS: tuple[tuple[str, str], ...] = (
     ("healthy", "bool"),
     ("wall_seconds", "float"),
     ("build_seconds", "float"),
+    ("memo_hit", "bool"),
 )
 
 
@@ -136,6 +141,9 @@ class FleetResult:
 
     scenario: str
     vehicles: int = 0
+    #: Vehicles whose outcome came from a kernel run rather than the
+    #: outcome memo (not part of the fingerprint).
+    kernel_runs: int = 0
     frames_transmitted: int = 0
     frames_delivered: int = 0
     frames_blocked: int = 0
@@ -194,15 +202,16 @@ class FleetResult:
 
     @property
     def sim_vehicles_per_second(self) -> float:
-        """Vehicles per second of *pure simulation* wall-clock.
+        """Kernel runs per second of *pure simulation* wall-clock.
 
         Excludes car construction / pool acquisition (the
         ``build_wall_seconds`` share), so it isolates the data-path cost
-        from the vehicle-lifecycle cost.
+        from the vehicle-lifecycle cost.  Memo hits took no simulation
+        time, so they are not counted as simulated vehicles either.
         """
         if self.simulation_wall_seconds <= 0.0:
             return 0.0
-        return self.vehicles / self.simulation_wall_seconds
+        return self.kernel_runs / self.simulation_wall_seconds
 
     @property
     def build_fraction(self) -> float:
@@ -239,12 +248,18 @@ class FleetResult:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetResult":
-        """Rebuild a result serialised by :meth:`to_dict` (strict keys)."""
+        """Rebuild a result serialised by :meth:`to_dict` (strict keys).
+
+        Results stored before ``kernel_runs`` existed read it as
+        ``vehicles`` -- what their ``sim_vehicles_per_second`` assumed.
+        """
+        payload = dict(data)
+        if "kernel_runs" not in payload and "vehicles" in payload:
+            payload["kernel_runs"] = payload["vehicles"]
         allowed = tuple(
             f.name for f in fields(cls) if f.name != "_fingerprint"
         ) + ("fingerprint",)
-        _check_result_keys(data, "FleetResult", allowed)
-        payload = dict(data)
+        _check_result_keys(payload, "FleetResult", allowed)
         fingerprint = payload.pop("fingerprint")
         payload["enforcement_mix"] = dict(payload.get("enforcement_mix", {}))
         return cls(_fingerprint=fingerprint, **payload)
@@ -254,6 +269,7 @@ class FleetResult:
         return {
             "scenario": self.scenario,
             "vehicles": self.vehicles,
+            "kernel_runs": self.kernel_runs,
             "frames_transmitted": self.frames_transmitted,
             "frames_blocked": self.frames_blocked,
             "frame_block_rate": round(self.frame_block_rate, 4),
@@ -319,6 +335,7 @@ class StreamingFleetAggregator:
         self._last_vehicle_id = outcome.vehicle_id
         result = self._result
         result.vehicles += 1
+        result.kernel_runs += not outcome.memo_hit
         result.frames_transmitted += outcome.frames_transmitted
         result.frames_delivered += outcome.frames_delivered
         result.frames_blocked += outcome.frames_blocked

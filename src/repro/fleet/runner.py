@@ -21,6 +21,10 @@ its spec (the kernel replays scripted actions at scripted times with
 seeded RNG streams), and aggregation folds outcomes in vehicle-id order
 -- so a 4-worker run is bit-identical to a 1-worker run with the same
 seed, which the fleet benchmark asserts.
+
+The same purity lets a fleet that repeats a script simulate it once:
+:class:`OutcomeMemo` serves a repeated behaviour key from the outcome
+its first vehicle produced (see :func:`memo_applies` for when).
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import replace
+from functools import partial
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.attacks.dos import BusFloodAttack, TargetedDisableAttack
 from repro.attacks.fuzzing import FuzzingAttack
@@ -344,6 +349,102 @@ def simulate_vehicle(
 
 
 # ---------------------------------------------------------------------------
+# Outcome memo
+# ---------------------------------------------------------------------------
+
+#: Most outcomes one :class:`OutcomeMemo` keeps; past it the oldest entry
+#: is evicted.  Repeating fleets draw a few dozen distinct keys, so the
+#: bound only matters for heterogeneous streams, where it caps the memo
+#: at a few MiB.
+MEMO_LIMIT = 4096
+
+#: Action kinds that draw from the vehicle's seeded kernel streams
+#: (``fuzz`` fuzzes from ``kernel.stream("fuzz")``): a spec carrying one
+#: has a seed-dependent outcome, so its seed joins its memo key.
+SEEDED_ACTION_KINDS = frozenset({"fuzz"})
+
+
+def memo_applies(trace_level: TraceLevel | str, compile_tables: bool) -> bool:
+    """Whether chunk simulation consults an :class:`OutcomeMemo`.
+
+    Only with ``COUNTERS`` retention and compiled tables -- the default
+    and ``throughput()`` regime.  Everything else runs every vehicle
+    through the kernel, which keeps ``faithful()`` a memo-free reference.
+    """
+    return TraceLevel.coerce(trace_level) is TraceLevel.COUNTERS and compile_tables
+
+
+class OutcomeMemo:
+    """Bounded memo of vehicle outcomes keyed by what determines them.
+
+    A vehicle's deterministic outcome is a function of its behaviour key
+    ``(scenario, enforcement, duration_s, actions)`` and the run's
+    ``inbox_limit`` -- not of its id, and not of its seed unless an
+    action draws from a seeded stream (:data:`SEEDED_ACTION_KINDS`).
+    The first vehicle with a key runs the kernel; every later one gets
+    that outcome under its own id, with zeroed timings and ``memo_hit``
+    set, so :attr:`~repro.fleet.results.FleetResult.kernel_runs` counts
+    only real simulations.
+
+    Scope is the caller's: a session owns the memo of its inline runs
+    and each worker process one for its chunks, shared across chunks
+    and runs.  Outcomes hold only for the builder that produced them,
+    so no memo is ever shared between sessions.
+    """
+
+    __slots__ = ("_entries",)
+
+    def __init__(self) -> None:
+        self._entries: dict[tuple, VehicleOutcome] = {}
+
+    def clear(self) -> None:
+        """Forget every entry."""
+        self._entries.clear()
+
+    @staticmethod
+    def key(spec: VehicleSpec, inbox_limit: int | None) -> tuple:
+        """Everything *spec*'s deterministic outcome is a function of."""
+        seeded = any(action.kind in SEEDED_ACTION_KINDS for action in spec.actions)
+        return (
+            spec.scenario,
+            spec.enforcement,
+            spec.duration_s,
+            spec.actions,
+            inbox_limit,
+            spec.seed if seeded else None,
+        )
+
+    def outcomes(
+        self,
+        specs: Iterable[VehicleSpec],
+        simulate: Callable[[VehicleSpec], VehicleOutcome],
+        inbox_limit: int | None,
+    ) -> Iterator[VehicleOutcome]:
+        """One outcome per spec, in order, calling *simulate* on misses only."""
+        entries = self._entries
+        for spec in specs:
+            key = self.key(spec, inbox_limit)
+            outcome = entries.get(key)
+            if outcome is None:
+                outcome = simulate(spec)
+                if len(entries) >= MEMO_LIMIT:
+                    del entries[next(iter(entries))]
+                entries[key] = outcome
+                yield outcome
+                continue
+            registry = _obs_metrics.ACTIVE
+            if registry.enabled:
+                registry.inc("simulate.memo_hits")
+            yield replace(
+                outcome,
+                vehicle_id=spec.vehicle_id,
+                wall_seconds=0.0,
+                build_seconds=0.0,
+                memo_hit=True,
+            )
+
+
+# ---------------------------------------------------------------------------
 # Worker pool plumbing
 # ---------------------------------------------------------------------------
 
@@ -371,11 +472,20 @@ def _process_pool() -> CarPool:
     return _PROCESS_POOL
 
 
+#: This worker process's outcome memo, shared by every chunk it runs.
+_WORKER_MEMO = OutcomeMemo()
+
+
 def _init_worker(extra_paths: list[str]) -> None:
-    """Pool initializer: make ``src`` importable under spawn and pre-derive."""
+    """Pool initializer: make ``src`` importable under spawn and pre-derive.
+
+    Also empties the worker memo: a forked worker must start from its
+    own kernel runs, never from entries the parent happened to hold.
+    """
     for path in extra_paths:
         if path not in sys.path:
             sys.path.insert(0, path)
+    _WORKER_MEMO.clear()
     _process_builder()
 
 
@@ -431,25 +541,23 @@ def _drain_chunk_telemetry(registry: MetricsRegistry | None) -> dict | None:
 
 
 def _simulate_specs(
-    specs: Sequence[VehicleSpec],
+    specs: Iterable[VehicleSpec],
     trace_level: str,
     inbox_limit: int | None,
     reuse_cars: bool,
     compile_tables: bool,
 ) -> list[VehicleOutcome]:
-    builder = _process_builder()
-    pool = _process_pool() if reuse_cars else None
-    return [
-        simulate_vehicle(
-            spec,
-            builder,
-            trace_level=trace_level,
-            inbox_limit=inbox_limit,
-            pool=pool,
-            compile_tables=compile_tables,
-        )
-        for spec in specs
-    ]
+    simulate = partial(
+        simulate_vehicle,
+        builder=_process_builder(),
+        trace_level=trace_level,
+        inbox_limit=inbox_limit,
+        pool=_process_pool() if reuse_cars else None,
+        compile_tables=compile_tables,
+    )
+    if memo_applies(trace_level, compile_tables):
+        return list(_WORKER_MEMO.outcomes(specs, simulate, inbox_limit))
+    return [simulate(spec) for spec in specs]
 
 
 def _simulate_chunk(
@@ -460,32 +568,14 @@ def _simulate_chunk(
     compile_tables: bool = True,
     telemetry: bool = False,
     fault: "FaultEvent | None" = None,
-    backend: str = "object",
 ) -> tuple[list[VehicleOutcome], dict | None]:
-    """Simulate one pickled chunk; returns ``(outcomes, metrics snapshot)``.
-
-    ``backend="vectorised"`` routes the chunk through the numpy
-    lockstep backend (imported lazily -- object-backend workers never
-    touch it); the session only ever sends that value after its parity
-    gate passed, and outcomes are bit-identical either way.
-    """
+    """Simulate one pickled chunk; returns ``(outcomes, metrics snapshot)``."""
     apply_worker_fault(fault)
     registry = _begin_chunk_telemetry(telemetry)
     with span("simulate"):
-        if backend == "vectorised":
-            from repro.fleet.vectorised import simulate_specs_vectorised
-
-            outcomes = simulate_specs_vectorised(
-                specs,
-                trace_level=trace_level,
-                inbox_limit=inbox_limit,
-                reuse_cars=reuse_cars,
-                compile_tables=compile_tables,
-            )
-        else:
-            outcomes = _simulate_specs(
-                specs, trace_level, inbox_limit, reuse_cars, compile_tables
-            )
+        outcomes = _simulate_specs(
+            specs, trace_level, inbox_limit, reuse_cars, compile_tables
+        )
     return outcomes, _drain_chunk_telemetry(registry)
 
 
@@ -515,7 +605,6 @@ def _simulate_chunk_shm(
     compile_tables: bool = True,
     telemetry: bool = False,
     fault: "FaultEvent | None" = None,
-    backend: str = "object",
 ) -> tuple[ShmHandle, dict | None]:
     """Worker entry point for shared-memory spec transfer.
 
@@ -533,25 +622,11 @@ def _simulate_chunk_shm(
     apply_worker_fault(fault)
     registry = _begin_chunk_telemetry(telemetry)
     with span("simulate.decode_specs"):
-        block = SpecBlock.from_bytes(read_block(handle, unlink=True))
-        # The vectorised backend decodes selectively from the columns;
-        # only the object path materialises every spec here.
-        specs = None if backend == "vectorised" else block.decode()
+        specs = SpecBlock.from_bytes(read_block(handle, unlink=True)).decode()
     with span("simulate"):
-        if backend == "vectorised":
-            from repro.fleet.vectorised import simulate_block_vectorised
-
-            outcomes = simulate_block_vectorised(
-                block,
-                trace_level=trace_level,
-                inbox_limit=inbox_limit,
-                reuse_cars=reuse_cars,
-                compile_tables=compile_tables,
-            )
-        else:
-            outcomes = _simulate_specs(
-                specs, trace_level, inbox_limit, reuse_cars, compile_tables
-            )
+        outcomes = _simulate_specs(
+            specs, trace_level, inbox_limit, reuse_cars, compile_tables
+        )
     with span("simulate.encode_outcomes"):
         out_handle = write_block(OutcomeBlock.encode(outcomes).to_bytes())
     return out_handle, _drain_chunk_telemetry(registry)

@@ -331,74 +331,41 @@ class SpecBlock(_ColumnarBlock):
             escapes,
         )
 
-    def action_offsets(self) -> list[int]:
-        """Starting index of each row's slice in the flattened action columns.
-
-        ``offsets[row] : offsets[row + 1]`` spans row's actions in
-        ``action_times`` / ``action_kind_idx`` / ``action_params_idx``;
-        one trailing entry holds the total.  This is how the vectorised
-        backend walks a block's behaviour columns without decoding specs.
-        """
-        offsets = [0] * (len(self) + 1)
-        total = 0
-        for row, count in enumerate(self.action_counts):
-            total += count
-            offsets[row + 1] = total
-        return offsets
-
-    def _params_decoder(self):
-        """A per-call params decoder caching one decode per interned index."""
-        cache: dict[int, object] = {}
-
-        def params(index: int) -> object:
-            value = cache.get(index)
-            if value is None:
-                value = cache[index] = _decode_params(self.table[index])
-            return value
-
-        return params
-
-    def _decode_row(self, row: int, start: int, params) -> VehicleSpec:
-        name = self._table_str
-        count = self.action_counts[row]
-        actions = tuple(
-            VehicleAction(
-                time=self.action_times[i],
-                kind=name(self.action_kind_idx[i]),
-                params=params(self.action_params_idx[i]),
-            )
-            for i in range(start, start + count)
-        )
-        return VehicleSpec(
-            vehicle_id=self._column_value("vehicle_ids", row),
-            scenario=name(self.scenario_idx[row]),
-            enforcement=name(self.enforcement_idx[row]),
-            seed=self._column_value("seeds", row),
-            duration_s=self.durations[row],
-            actions=actions,
-        )
-
     def decode(self) -> list[VehicleSpec]:
         """Rebuild the exact spec objects :meth:`encode` was given."""
-        params = self._params_decoder()
+        name = self._table_str
+        params_cache: dict[int, object] = {}
+
+        def params(index: int) -> object:
+            value = params_cache.get(index)
+            if value is None:
+                value = params_cache[index] = _decode_params(self.table[index])
+            return value
+
         specs: list[VehicleSpec] = []
         cursor = 0
         for row in range(len(self)):
-            specs.append(self._decode_row(row, cursor, params))
-            cursor += self.action_counts[row]
+            count = self.action_counts[row]
+            actions = tuple(
+                VehicleAction(
+                    time=self.action_times[i],
+                    kind=name(self.action_kind_idx[i]),
+                    params=params(self.action_params_idx[i]),
+                )
+                for i in range(cursor, cursor + count)
+            )
+            cursor += count
+            specs.append(
+                VehicleSpec(
+                    vehicle_id=self._column_value("vehicle_ids", row),
+                    scenario=name(self.scenario_idx[row]),
+                    enforcement=name(self.enforcement_idx[row]),
+                    seed=self._column_value("seeds", row),
+                    duration_s=self.durations[row],
+                    actions=actions,
+                )
+            )
         return specs
-
-    def decode_rows(self, rows: Sequence[int]) -> list[VehicleSpec]:
-        """Materialise only the requested rows as :class:`VehicleSpec` objects.
-
-        The vectorised backend's selective decode: lockstep class
-        representatives and fallback vehicles get real spec objects,
-        every other row stays columnar.  Each decoded spec is identical
-        to the corresponding entry of :meth:`decode`.
-        """
-        offsets = self.action_offsets()
-        params = self._params_decoder()
-        return [self._decode_row(row, offsets[row], params) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -117,6 +117,45 @@ class TestFleetRun:
         assert a["config"] == b["config"]
         assert a["fingerprint"] == b["fingerprint"]
 
+    def test_report_from_before_the_outcome_memo_still_replays(self, tmp_path, capsys):
+        """A report whose config carries the retired ``backend`` key (and
+        whose summary has no ``kernel_runs``) replays to its fingerprint."""
+        legacy = {
+            "config": {
+                "backend": "auto",
+                "chunk_size": None,
+                "chunk_timeout_s": None,
+                "compile_tables": True,
+                "degrade": True,
+                "enforcement": None,
+                "first_vehicle_id": 0,
+                "inbox_limit": 512,
+                "retry": 2,
+                "reuse_cars": True,
+                "scenario": "baseline_cruise",
+                "scenario_parameters": {},
+                "seed": 3,
+                "spec_transfer": "shm",
+                "trace_level": "counters",
+                "vehicles": 6,
+                "workers": 1,
+            },
+            "fingerprint": (
+                "c832ff308a1af1c3785d97048cd70b4dbbf26d602dff30b00635f7aa65428ba4"
+            ),
+            "summary": {"scenario": "baseline_cruise", "vehicles": 6},
+        }
+        saved = tmp_path / "legacy.json"
+        saved.write_text(json.dumps(legacy))
+        report = tmp_path / "replay.json"
+        assert run_cli("fleet", "run", "--config", str(saved), "--json", str(report)) == 0
+        capsys.readouterr()
+        payload = json.loads(report.read_text())
+        assert "backend" not in payload["config"]
+        assert payload["fingerprint"] == legacy["fingerprint"]
+        summary = payload["summary"]
+        assert 0 < summary["kernel_runs"] <= summary["vehicles"] == 6
+
     def test_preset_with_config_file_is_rejected(self, tmp_path, capsys):
         saved = tmp_path / "config.json"
         saved.write_text(ExperimentConfig(scenario="baseline_cruise", vehicles=6).to_json())

@@ -52,6 +52,20 @@ class TestAggregation:
         assert result.vehicles_per_second == pytest.approx(1.0)
         assert result.enforcement_mix == {"hpe+selinux": 2}
 
+    def test_memo_hits_count_as_vehicles_not_kernel_runs(self):
+        plain = FleetAggregator("test")
+        memoised = FleetAggregator("test")
+        for i in range(4):
+            plain.add(make_outcome(i))
+            hit = i % 2 == 1
+            memoised.add(make_outcome(i, memo_hit=hit, wall_seconds=0.0 if hit else 0.01))
+        a, b = plain.result(), memoised.result()
+        assert (a.vehicles, a.kernel_runs) == (4, 4)
+        assert (b.vehicles, b.kernel_runs) == (4, 2)
+        assert b.fingerprint() == a.fingerprint()
+        # Throughput divides kernel runs, not vehicles, by simulation time.
+        assert b.sim_vehicles_per_second == pytest.approx(2 / 0.02)
+
     def test_empty_result_has_zero_rates(self):
         result = FleetAggregator("test").result()
         assert result.vehicles == 0
@@ -234,6 +248,13 @@ class TestFleetResultRoundTrip:
         data["vehicels"] = 5
         with pytest.raises(ValueError, match="vehicels"):
             FleetResult.from_dict(data)
+
+    def test_result_stored_before_kernel_runs_reads_every_vehicle_as_run(self):
+        data = json.loads(json.dumps(self._result().to_dict()))
+        del data["kernel_runs"]
+        rebuilt = FleetResult.from_dict(data)
+        assert rebuilt.kernel_runs == rebuilt.vehicles == 9
+        assert rebuilt.fingerprint() == self._result().fingerprint()
 
     def test_missing_fingerprint_rejected(self):
         data = self._result().to_dict()

@@ -244,46 +244,6 @@ class TestResilienceSeedDiscipline:
         assert check_determinism.check_file(path) == []
 
 
-class TestVectorisedSeedDiscipline:
-    """``vectorised.py`` RNGs must be seeded through ``derive_seed``."""
-
-    def _check_vectorised(self, tmp_path, source: str):
-        path = tmp_path / "vectorised.py"
-        path.write_text(textwrap.dedent(source), encoding="utf-8")
-        return check_determinism.check_file(path)
-
-    def test_derive_seed_call_passes(self, tmp_path):
-        violations = self._check_vectorised(
-            tmp_path,
-            """
-            import random
-
-            from repro.core.seeding import derive_seed
-
-            def probe_rng(seed: int) -> random.Random:
-                return random.Random(derive_seed(seed, "vectorised/probe-gate"))
-            """,
-        )
-        assert violations == []
-
-    def test_plain_seed_flagged(self, tmp_path):
-        violations = self._check_vectorised(
-            tmp_path, "import random\nrng = random.Random(2018)\n"
-        )
-        assert len(violations) == 1
-        assert "derive_seed" in violations[0].message
-        assert "vectorised.py" in violations[0].message
-
-    def test_same_source_allowed_outside_vectorised(self, tmp_path):
-        path = tmp_path / "elsewhere.py"
-        path.write_text("import random\nrng = random.Random(2018)\n", encoding="utf-8")
-        assert check_determinism.check_file(path) == []
-
-    def test_shipped_vectorised_module_is_clean(self):
-        path = REPO_ROOT / "src" / "repro" / "fleet" / "vectorised.py"
-        assert check_determinism.check_file(path) == []
-
-
 class TestCommandLine:
     def test_main_clean(self):
         assert check_determinism.main([]) == 0

@@ -6,6 +6,7 @@ re-executes, and -- because outcomes are pure functions of the config --
 the final fingerprint is bit-identical to a foreground run.
 """
 
+import json
 import multiprocessing
 import os
 import signal
@@ -54,6 +55,23 @@ class TestDrain:
         with DrainWorker(store, name="w0") as worker:
             worker.drain()
         cached = store.result_for(CONFIG.config_hash())
+        assert cached.fingerprint() == foreground_fingerprint(CONFIG)
+
+    def test_job_queued_with_a_retired_config_key_still_leases_and_runs(self, store):
+        # A job row written before ``backend`` was retired: its stored
+        # config (and the hash it was queued under) carry the old key.
+        legacy = dict(CONFIG.to_dict(), backend="object")
+        legacy_hash = "legacy-" + CONFIG.config_hash()
+        with store.transaction() as conn:
+            conn.execute(
+                "INSERT INTO jobs (config_hash, config, state, priority, "
+                "max_attempts, submitted_at) VALUES (?, ?, 'queued', 0, 3, 0)",
+                (legacy_hash, json.dumps(legacy, sort_keys=True)),
+            )
+        with DrainWorker(store, name="w0") as worker:
+            assert worker.run_once() == "executed"
+        assert store.counts()["done"] == 1
+        cached = store.result_for(legacy_hash)
         assert cached.fingerprint() == foreground_fingerprint(CONFIG)
 
     def test_run_once_reports_how_the_job_was_served(self, store):

@@ -18,10 +18,9 @@ module.  This checker walks the simulation packages' ASTs and rejects:
 * unseeded generators (``random.Random()`` with no arguments) -- an
   argument-less ``Random`` seeds itself from the OS, which is ambient
   randomness with extra steps;
-* in ``resilience.py`` and ``vectorised.py`` specifically, every
-  ``random.Random(...)`` seed argument must be a
-  :func:`repro.core.seeding.derive_seed` call -- backoff jitter and the
-  vectorised parity-gate sweeps replay bit-identically only when their
+* in ``resilience.py`` specifically, every ``random.Random(...)`` seed
+  argument must be a :func:`repro.core.seeding.derive_seed` call -- the
+  retry layer's backoff jitter replays bit-identically only when its
   streams come from the SHA-256 derivation machinery;
 * calendar-time readings (``clock.now`` from :mod:`repro.obs.clock`,
   the epoch clock) anywhere *except* the sanctioned callers: the
@@ -76,9 +75,8 @@ FORBIDDEN_MODULES = {
 ALLOWED_RANDOM_ATTRS = {"Random", "SystemRandom"}
 
 #: File names whose ``random.Random`` seeds must be ``derive_seed(...)``
-#: calls: the resilience layer's jitter streams and the vectorised
-#: backend's parity-gate sweeps must replay exactly.
-DERIVED_SEED_FILES = {"resilience.py", "vectorised.py"}
+#: calls: the resilience layer's jitter streams must replay exactly.
+DERIVED_SEED_FILES = {"resilience.py"}
 
 
 class Violation:
@@ -198,8 +196,8 @@ class _DeterminismVisitor(ast.NodeVisitor):
             ):
                 self._flag(
                     node,
-                    f"{self.path.name} RNG streams must be seeded via "
-                    "derive_seed(...): they have to replay "
+                    "resilience RNG streams must be seeded via "
+                    "derive_seed(...): backoff jitter has to replay "
                     "bit-identically",
                 )
         self.generic_visit(node)
