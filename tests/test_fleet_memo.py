@@ -30,7 +30,7 @@ from repro.fleet.scenarios import (
     get_scenario,
     registered_scenarios,
 )
-from repro.fleet.transfer import SpecBlock
+from repro.fleet.transfer import OutcomeBlock, SpecBlock, read_block, write_block
 
 SCENARIO_NAMES = [scenario.name for scenario in registered_scenarios()]
 
@@ -113,6 +113,162 @@ class TestSeedRule:
     def test_inbox_limit_is_part_of_the_key(self):
         spec = _spec(0, [VehicleAction(0.0, "drive", {})])
         assert OutcomeMemo.key(spec, 512) != OutcomeMemo.key(spec, None)
+
+
+class TestKey:
+    def test_vehicle_id_is_not_part_of_the_key(self):
+        actions = [VehicleAction(0.0, "drive", {"accel": 60})]
+        assert OutcomeMemo.key(_spec(0, actions), None) == OutcomeMemo.key(
+            _spec(41, actions), None
+        )
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("scenario", "another-scenario"),
+            ("enforcement", "unprotected"),
+            ("duration_s", 0.2),
+            ("actions", (VehicleAction(0.0, "drive", {"accel": 61}),)),
+        ],
+        ids=["scenario", "enforcement", "duration_s", "actions"],
+    )
+    def test_each_behaviour_field_splits_the_key(self, field, value):
+        base = _spec(0, [VehicleAction(0.0, "drive", {"accel": 60})])
+        assert getattr(base, field) != value
+        other = dataclasses.replace(base, vehicle_id=1, **{field: value})
+        assert OutcomeMemo.key(base, None) != OutcomeMemo.key(other, None)
+        outcomes, kernel_runs = _memo_run([base, other])
+        assert kernel_runs == 2
+        assert _tuples(outcomes) == _object_tuples([base, other])
+
+    def test_int_valued_hand_built_specs_key_like_their_decoded_copies(self):
+        # Int durations/times canonicalise to floats on construction, so
+        # a spec and its SpecBlock round trip share one key.
+        specs = [
+            _spec(i, [VehicleAction(0, "park_and_arm", {})], duration_s=1)
+            for i in range(4)
+        ]
+        decoded = SpecBlock.from_bytes(SpecBlock.encode(specs).to_bytes()).decode()
+        limit = runner.DEFAULT_FLEET_INBOX_LIMIT
+        assert {OutcomeMemo.key(spec, limit) for spec in specs + decoded} == {
+            OutcomeMemo.key(specs[0], limit)
+        }
+        outcomes, kernel_runs = _memo_run(specs + decoded)
+        assert kernel_runs == 1
+        assert _tuples(outcomes) == _object_tuples(specs + decoded)
+
+
+class TestHits:
+    def test_hits_zero_their_timings_and_the_miss_keeps_its_own(self):
+        actions = [VehicleAction(0.0, "drive", {"accel": 45})]
+        specs = [_spec(i, actions, seed=i) for i in range(3)]
+        outcomes, _ = _memo_run(specs)
+        first, *hits = outcomes
+        assert not first.memo_hit
+        assert first.wall_seconds > 0.0
+        for hit in hits:
+            assert hit.memo_hit
+            assert (hit.wall_seconds, hit.build_seconds) == (0.0, 0.0)
+
+
+@pytest.fixture
+def empty_worker_memo():
+    """The in-process worker memo, empty before and after the test."""
+    runner._WORKER_MEMO.clear()
+    yield runner._WORKER_MEMO
+    runner._WORKER_MEMO.clear()
+
+
+def _reseeded_fleet(name):
+    """A scenario's fleet followed by a re-seeded copy of every vehicle."""
+    specs = get_scenario(name).vehicle_specs(6, seed=2018)
+    copies = [
+        dataclasses.replace(spec, vehicle_id=len(specs) + i, seed=spec.seed + 7919)
+        for i, spec in enumerate(specs)
+    ]
+    return specs, copies
+
+
+def _seeded(spec):
+    return any(a.kind in runner.SEEDED_ACTION_KINDS for a in spec.actions)
+
+
+def _check_chunk(specs, copies, outcomes):
+    """Outcome-exact, in order, and one kernel run per distinct key."""
+    assert _tuples(outcomes) == _object_tuples(specs + copies)
+    assert [o.vehicle_id for o in outcomes] == [s.vehicle_id for s in specs + copies]
+    # A re-seeded copy shares its original's run unless it fuzzes.
+    for copy, outcome in zip(copies, outcomes[len(specs):]):
+        assert outcome.memo_hit is not _seeded(copy)
+    limit = runner.DEFAULT_FLEET_INBOX_LIMIT
+    distinct = {OutcomeMemo.key(spec, limit) for spec in specs + copies}
+    assert sum(not o.memo_hit for o in outcomes) == len(distinct)
+
+
+@pytest.mark.usefixtures("empty_worker_memo")
+class TestWorkerChunks:
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_spec_list_path_is_outcome_exact(self, name):
+        specs, copies = _reseeded_fleet(name)
+        outcomes, snapshot = runner._simulate_chunk(specs + copies)
+        assert snapshot is None
+        _check_chunk(specs, copies, outcomes)
+
+    @pytest.mark.parametrize("name", SCENARIO_NAMES)
+    def test_columnar_block_path_is_outcome_exact(self, name):
+        # The shm entry point decodes a SpecBlock, and the memo flag
+        # must survive the OutcomeBlock trip back to the parent.
+        specs, copies = _reseeded_fleet(name)
+        handle = write_block(SpecBlock.encode(specs + copies).to_bytes())
+        out_handle, _ = runner._simulate_chunk_shm(handle)
+        outcomes = OutcomeBlock.from_bytes(read_block(out_handle)).decode()
+        _check_chunk(specs, copies, outcomes)
+
+    def test_mixed_fuzz_and_drive_chunk_keys_per_vehicle(self):
+        specs = []
+        for i in range(9):
+            if i % 3 == 2:
+                actions = [VehicleAction(0.0, "fuzz", {"frames": 10})]
+            else:
+                actions = [VehicleAction(0.0, "drive", {"accel": 40 + 10 * (i % 2)})]
+            specs.append(_spec(i, actions, seed=100 + i))
+        outcomes, _ = runner._simulate_chunk(specs)
+        assert _tuples(outcomes) == _object_tuples(specs)
+        assert [o.memo_hit for o in outcomes] == [
+            False, False, False, True, True, False, True, True, False
+        ]
+
+    def test_memo_is_shared_across_chunks(self):
+        specs, copies = _reseeded_fleet("baseline_cruise")
+        runner._simulate_chunk(specs)
+        outcomes, _ = runner._simulate_chunk(copies)
+        assert all(o.memo_hit for o in outcomes)
+        assert _tuples(outcomes) == _object_tuples(copies)
+
+    @pytest.mark.parametrize(
+        "trace_level, compile_tables",
+        [("full", True), ("ring", True), ("counters", False)],
+    )
+    def test_chunks_outside_the_regime_bypass_the_memo(
+        self, trace_level, compile_tables
+    ):
+        specs, copies = _reseeded_fleet("baseline_cruise")
+        outcomes, _ = runner._simulate_chunk(
+            specs + copies, trace_level=trace_level, compile_tables=compile_tables
+        )
+        assert not any(o.memo_hit for o in outcomes)
+        assert _tuples(outcomes) == _object_tuples(specs + copies)
+        # Nothing was stored either: a memo-regime chunk starts cold.
+        outcomes, _ = runner._simulate_chunk(specs)
+        assert not outcomes[0].memo_hit
+
+    def test_chunk_snapshot_splits_kernel_runs_from_memo_hits(self):
+        specs, copies = _reseeded_fleet("baseline_cruise")
+        outcomes, snapshot = runner._simulate_chunk(specs + copies, telemetry=True)
+        counters = snapshot["counters"]
+        hits = sum(o.memo_hit for o in outcomes)
+        assert counters["simulate.memo_hits"] == hits > 0
+        assert counters["vehicles.simulated"] + hits == len(specs + copies)
 
 
 class TestBound:
@@ -365,6 +521,29 @@ class TestSessions:
         finally:
             runner._WORKER_MEMO.clear()
         assert snapshot.counter("vehicles.simulated") >= len(distinct)
+
+    def test_fuzz_probe_runs_one_kernel_per_distinct_key(self, faithful_fingerprints):
+        config = ExperimentConfig(scenario="fuzz_probe", vehicles=24, seed=2018)
+        with FleetSession(config) as session:
+            specs = session.vehicle_specs()
+            result = session.run()
+        distinct = {OutcomeMemo.key(spec, config.inbox_limit) for spec in specs}
+        assert result.kernel_runs == len(distinct)
+        assert result.fingerprint() == faithful_fingerprints["fuzz_probe"]
+
+    def test_throughput_preset_consults_the_memo(self, faithful_fingerprints):
+        config = ExperimentConfig.throughput("baseline_cruise", 24, seed=2018, workers=2)
+        with FleetSession(config) as session:
+            result = session.run()
+        assert 0 < result.kernel_runs < result.vehicles == 24
+        assert result.fingerprint() == faithful_fingerprints["baseline_cruise"]
+
+    def test_debug_preset_runs_every_vehicle(self, faithful_fingerprints):
+        config = ExperimentConfig.debug("baseline_cruise", 24, seed=2018)
+        with FleetSession(config) as session:
+            result = session.run()
+        assert result.kernel_runs == result.vehicles == 24
+        assert result.fingerprint() == faithful_fingerprints["baseline_cruise"]
 
     def test_session_memo_persists_across_runs(self):
         config = ExperimentConfig(scenario="baseline_cruise", vehicles=12, seed=2018)
