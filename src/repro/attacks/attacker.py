@@ -28,11 +28,17 @@ class MaliciousNode:
     car:
         The vehicle whose bus the node is attached to.
     name:
-        Diagnostic name of the rogue node.
+        Bus name of the rogue node.  When a rogue node of that name is
+        already attached (an earlier attack left it on the bus), the
+        attacker reuses it; an ECU's name is refused.
     """
 
     def __init__(self, car: ConnectedCar, name: str = "MaliciousNode") -> None:
         self.car = car
+        self.frames_injected = 0
+        if name in car.bus.node_names() and name not in car.node_names():
+            self.node = car.bus.node(name)
+            return
         self.node = CANNode(name)
         # The attacker's own node performs no filtering in either direction.
         self.node.controller.rx_filters.set_default_accept()
@@ -40,7 +46,6 @@ class MaliciousNode:
         self.node.controller.rx_filters.compile_mask()
         self.node.controller.tx_filters.compile_mask()
         car.bus.attach(self.node)
-        self.frames_injected = 0
 
     @property
     def name(self) -> str:

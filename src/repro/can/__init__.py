@@ -18,6 +18,8 @@ Modules
 * :mod:`repro.can.transceiver` -- CAN transceiver model.
 * :mod:`repro.can.controller` -- CAN controller with error counters.
 * :mod:`repro.can.bus` -- the shared broadcast bus with arbitration.
+* :mod:`repro.can.fanout` -- receive-state epoch and pending tallies of
+  the bus's compiled receive fan-out.
 * :mod:`repro.can.node` -- a complete CAN node (transceiver + controller
   + processor application), with optional policy-engine hooks.
 """

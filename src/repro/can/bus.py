@@ -14,6 +14,13 @@ frames, so a flood storm of n frames costs O(n log n) total instead of
 the O(n^2 log n) a re-sort per transmission would pay.  The pop order is
 bit-identical to sorting the pending list, because the key is unique
 (the submission sequence breaks every tie).
+
+Delivery at COUNTERS retention is compiled the way the paper compiles
+policy: the receive fan-out of a ``(sender, can_id)`` is fixed between
+receive-state changes, so the first frame records it as a
+:class:`FanoutPlan` and later frames only do their per-frame work and
+bump a tally (see :mod:`repro.can.fanout` for the epoch and when
+tallies are expanded).
 """
 
 from __future__ import annotations
@@ -22,6 +29,8 @@ import heapq
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
+from repro.can import fanout as _fanout
+from repro.can.fanout import pending as _pending_tallies
 from repro.can.frame import MAX_STANDARD_ID, CANFrame, FrameKind
 from repro.can.scheduler import EventScheduler
 from repro.can.trace import DEFAULT_RING_SIZE, BusTrace, TraceEventKind, TraceLevel
@@ -57,6 +66,131 @@ class BusStatistics:
         return min(1.0, self.busy_time / elapsed)
 
 
+#: Plan-cache marker for a ``(sender, can_id)`` whose frames need
+#: per-frame decisions under the current epoch: they keep the fused loop.
+_FUSED = object()
+
+
+class FanoutPlan:
+    """The compiled receive fan-out of one ``(sender, can_id)`` on one bus.
+
+    Compiled by the first frame under the current receive-state epoch
+    (see :mod:`repro.can.fanout`), which runs the fused delivery loop
+    and records two things: the per-frame work of every receiver the
+    frame reaches (inbox append, id-log append, ``on_receive`` hook) and
+    every receiver's outcome, from which its counter deltas follow.  A
+    later frame does the per-frame work and counts itself in :attr:`n`;
+    :meth:`expand` adds ``n`` frames' worth of deltas to the trace, bus,
+    node, controller, transceiver and decision-block counters.
+
+    A frame's deltas are a sequence of *entries*: entry 0 is the
+    transmission, entry ``i`` is ``receivers[i - 1]``.
+    """
+
+    __slots__ = (
+        "bus", "sender", "sender_node", "can_id", "receivers", "work", "n", "open", "head", "done",
+    )
+
+    def __init__(
+        self, bus: "CANBus", sender: str, sender_node: "CANNode | None", can_id: int
+    ) -> None:
+        self.bus = bus
+        self.sender = sender
+        self.sender_node = sender_node
+        self.can_id = can_id
+        #: Every receiver in delivery order: ``(node, value, transceiver,
+        #: controller, counters, read decision block, trace per-node
+        #: counts)``, where *value* is the event-kind value of its
+        #: outcome (``None``: transceiver in standby, no effect) and the
+        #: parts it does not move are ``None``.
+        self.receivers: list[tuple] = []
+        #: ``(entry, hooks, inbox.append, id_log.append)`` per receiver
+        #: the frame reaches, in delivery order.
+        self.work: list[tuple] = []
+        #: Whole frames served since the last expansion.
+        self.n = 0
+        #: While a planned frame is being delivered: entries it has
+        #: handled (``head``) and entries a mid-frame settle already
+        #: expanded (``done``).
+        self.open = False
+        self.head = 0
+        self.done = 0
+
+    def expand(self) -> None:
+        """Add every frame served since the last expansion to the counters."""
+        n = self.n
+        if n:
+            self.n = 0
+            self.apply(n)
+            self.bus.fanout_planned_frames += n
+        if self.open and self.head > self.done:
+            self.apply(1, self.done, self.head)
+            self.done = self.head
+
+    def apply(self, n: int, start: int = 0, stop: int | None = None) -> None:
+        """Add *n* frames' worth of the deltas of ``entries[start:stop]``.
+
+        The same arithmetic as the fused loop in
+        :meth:`CANBus._fan_out`, multiplied out -- except the decision
+        latency, which takes *n* repeated additions so accumulated
+        floats stay bit-identical to per-frame accumulation.
+        """
+        bus = self.bus
+        trace = bus.trace
+        statistics = bus.statistics
+        kind_counts = trace._kind_counts
+        id_counts = trace._id_counts[self.can_id]
+        events = 0
+        if start == 0:
+            statistics.frames_transmitted += n
+            kind_counts[_TRANSMITTED_V] += n
+            trace._node_counts[self.sender][_TRANSMITTED_V] += n
+            id_counts[_TRANSMITTED_V] += n
+            events = n
+            start = 1
+        delivered = filtered = policed = 0
+        receivers = self.receivers
+        for _, value, transceiver, controller, counters, block, per_node in receivers[
+            start - 1 : len(receivers) if stop is None else stop - 1
+        ]:
+            if value is None:
+                continue
+            transceiver.frames_received += n
+            if block is not None:
+                block.decisions_made += n
+                total, latency = block.total_latency_s, block.latency_s
+                for _ in range(n):
+                    total += latency
+                block.total_latency_s = total
+                if value is _BLOCKED_READ_POLICY_V:
+                    block.blocks += n
+                else:
+                    block.grants += n
+            if value is _DELIVERED_V:
+                controller.frames_accepted += n
+                counters.received += n
+                delivered += n
+            elif value is _BLOCKED_READ_FILTER_V:
+                controller.frames_rejected += n
+                counters.receive_blocked_by_filter += n
+                filtered += n
+            else:
+                counters.receive_blocked_by_policy += n
+                policed += n
+            per_node[value] += n
+        for value, count in (
+            (_DELIVERED_V, delivered),
+            (_BLOCKED_READ_FILTER_V, filtered),
+            (_BLOCKED_READ_POLICY_V, policed),
+        ):
+            if count:
+                kind_counts[value] += count
+                id_counts[value] += count
+        trace._total += events + delivered + filtered + policed
+        trace._blocked += filtered + policed
+        statistics.frames_delivered += delivered
+
+
 class CANBus:
     """A shared broadcast CAN bus with priority arbitration.
 
@@ -74,6 +208,17 @@ class CANBus:
         fleet-scale runs use ``RING`` or ``COUNTERS`` for O(1) memory.
     trace_ring_size:
         Window size when ``trace_level`` is ``RING``.
+
+    The per-delivery counter arithmetic (trace, bus statistics, node,
+    controller, transceiver and HPE decision-block counters) lives in
+    three places that must agree: :meth:`BusTrace.count_only` /
+    :meth:`BusTrace.record` with :meth:`CANNode.wire_receive
+    <repro.can.node.CANNode.wire_receive>` (the object path), the fused
+    loop :meth:`_fan_out`, and :meth:`FanoutPlan.apply` (a plan's
+    frames multiplied out).  FULL and RING traces, extended ids,
+    receivers whose engine has no compiled table, receivers with an
+    ``on_receive_blocked`` hook and receivers with a nonzero receive
+    error counter keep the per-frame paths.
     """
 
     def __init__(
@@ -101,6 +246,15 @@ class CANBus:
         #: payload length (the only property their duration depends
         #: on); other frame kinds compute their duration directly.
         self._tx_time_cache: dict[int, float] = {}
+        #: Receive fan-out plans compiled under epoch ``_plans_epoch``,
+        #: keyed by ``(sender, can_id)`` (see :class:`FanoutPlan`).
+        self._plans: dict[tuple[str, int], FanoutPlan | object] = {}
+        self._plans_epoch = -1
+        #: Fan-out telemetry since the last reset: plans compiled, frames
+        #: served by a plan, and frames that ran the fused loop.
+        self.fanout_plans = 0
+        self.fanout_planned_frames = 0
+        self.fanout_fused_frames = 0
 
     # -- topology ------------------------------------------------------------------
 
@@ -108,6 +262,7 @@ class CANBus:
         """Attach *node* to the bus (names must be unique per bus)."""
         if node.name in self._nodes:
             raise ValueError(f"a node named {node.name!r} is already attached to {self.name}")
+        _fanout.invalidate()
         self._nodes[node.name] = node
         node.transceiver.attach(self, node)
         node.on_attached(self)
@@ -119,9 +274,10 @@ class CANBus:
         ``send()`` raises ``NodeDetachedError`` instead of silently
         tracing to (and transmitting on) its former bus.
         """
-        node = self._nodes.pop(node_name, None)
-        if node is None:
+        if node_name not in self._nodes:
             raise KeyError(f"no node named {node_name!r} attached to {self.name}")
+        _fanout.invalidate()
+        node = self._nodes.pop(node_name)
         node.transceiver.detach()
         node.on_detached()
 
@@ -191,54 +347,132 @@ class CANBus:
             self._busy = False
             return
         frame, sender = pending[2], pending[3]
-        statistics = self.statistics
-        statistics.frames_transmitted += 1
-        trace = self.trace
-        counting = trace._records is None
         can_id = frame.can_id
-        # Local aliases for the trace's counter structures: the
-        # TRANSMITTED event and the fused delivery loop below update
-        # them directly (same arithmetic as BusTrace.count_only) so no
-        # per-event call is made at all.
-        kind_counts = trace._kind_counts
-        node_counts = trace._node_counts
-        id_counts = trace._id_counts.get(can_id)
-        if id_counts is None:
-            id_counts = trace._id_counts[can_id] = {}
-        if counting:
-            trace._total += 1
-            kind_counts[_TRANSMITTED_V] = kind_counts.get(_TRANSMITTED_V, 0) + 1
-            per_node = node_counts.get(sender)
-            if per_node is None:
-                per_node = node_counts[sender] = {}
-            per_node[_TRANSMITTED_V] = per_node.get(_TRANSMITTED_V, 0) + 1
-            id_counts[_TRANSMITTED_V] = id_counts.get(_TRANSMITTED_V, 0) + 1
+        if self.trace._records is None and can_id <= MAX_STANDARD_ID:
+            # Counters-only retention, standard id: serve the frame from
+            # its (sender, id) plan, compiling one on the first frame
+            # under the current receive-state epoch.
+            epoch = _fanout.epoch
+            plans = self._plans
+            if self._plans_epoch != epoch:
+                plans.clear()
+                self._plans_epoch = epoch
+            key = (sender, can_id)
+            plan = plans.get(key)
+            if plan is None:
+                plan = self._deliver(frame, sender, compile=True)
+                if plan is None:
+                    plans[key] = _FUSED
+                else:
+                    plans[key] = plan
+                    self.fanout_plans += 1
+            elif plan is _FUSED:
+                self._deliver(frame, sender)
+            else:
+                sender_node = plan.sender_node
+                if sender_node is not None:
+                    sender_node.controller.record_tx_success()
+                if not plan.n:
+                    _pending_tallies.append(plan)
+                plan.open = True
+                plan.head = plan.done = 0
+                for entry, hooks, inbox_append, id_log_append in plan.work:
+                    inbox_append(frame)
+                    id_log_append(can_id)
+                    hook = hooks.on_receive
+                    if hook is not None:
+                        plan.head = entry + 1
+                        hook(frame)
+                        if _fanout.epoch != epoch:
+                            # The hook changed receive state.  Settling
+                            # (inside the mutator) expanded this frame
+                            # up to and including this receiver; the
+                            # rest see the new state.
+                            plan.open = False
+                            self.fanout_fused_frames += 1
+                            rest = [receiver[0] for receiver in plan.receivers[entry:]]
+                            self._fan_out(frame, rest, None, None)
+                            break
+                else:
+                    plan.open = False
+                    if plan.done:
+                        # A query settled part of this frame mid-delivery.
+                        plan.apply(1, plan.done)
+                        self.fanout_planned_frames += 1
+                    else:
+                        plan.n += 1
         else:
-            trace.record(
-                self.scheduler.now, TraceEventKind.TRANSMITTED, frame, node=sender
-            )
+            self._deliver(frame, sender)
+        self._busy = False
+        if self._pending:
+            self._start_next_transmission()
+
+    def _deliver(
+        self, frame: CANFrame, sender: str, compile: bool = False
+    ) -> FanoutPlan | None:
+        """Deliver *frame* the unplanned way: count it, then fan it out.
+
+        With ``compile=True`` the fused loop also records what it did
+        and the frame's :class:`FanoutPlan` is returned -- unless some
+        receiver needs per-frame decisions, which returns ``None``.
+        """
+        self.statistics.frames_transmitted += 1
+        trace = self.trace
+        if trace._records is None:
+            trace.count_only(_TRANSMITTED_V, sender, frame.can_id)
+        else:
+            trace.record(self.scheduler.now, TraceEventKind.TRANSMITTED, frame, node=sender)
         sender_node = self._nodes.get(sender)
         if sender_node is not None:
             sender_node.controller.record_tx_success()
+        self.fanout_fused_frames += 1
+        plan = FanoutPlan(self, sender, sender_node, frame.can_id) if compile else None
+        if not self._fan_out(frame, self._nodes.values(), sender_node, plan):
+            return None
+        return plan
 
-        # Broadcast to every other node.  When a receiver's policy
-        # engine holds a compiled decision table (see
-        # :mod:`repro.core.compiled`) and the trace is counters-only,
-        # the whole receive path -- transceiver, permit probe, software
-        # acceptance filter, per-node/per-id trace counters -- runs
-        # fused in this loop: the enforcement decision is one bitmask
-        # probe and no per-delivery call chain is built.  Counter
-        # effects are bit-identical to the object path
-        # (:meth:`repro.can.node.CANNode.wire_receive`), which remains
-        # the authoritative fallback for everything else.
-        fuse = counting and can_id <= MAX_STANDARD_ID
+    def _fan_out(
+        self,
+        frame: CANFrame,
+        nodes: Iterable["CANNode"],
+        skip: "CANNode | None",
+        plan: "FanoutPlan | None",
+    ) -> bool:
+        """Deliver *frame* to every node of *nodes* except *skip*.
+
+        When a receiver's policy engine holds a compiled decision table
+        (see :mod:`repro.core.compiled`) and the trace is counters-only,
+        the whole receive path -- transceiver, permit probe, software
+        acceptance filter, per-node/per-id trace counters -- runs fused
+        in this loop: the enforcement decision is one bitmask probe and
+        no per-delivery call chain is built.  Counter effects are
+        bit-identical to the object path
+        (:meth:`repro.can.node.CANNode.wire_receive`), which remains the
+        authoritative fallback for everything else.
+
+        With a *plan* given, every receiver's outcome and every delivered
+        receiver's per-frame work is recorded into it.  Returns whether
+        the frame can be planned: ``False`` when some receiver took the
+        object path, has an ``on_receive_blocked`` hook to call, or
+        moved its receive error counter.
+        """
+        trace = self.trace
+        statistics = self.statistics
+        can_id = frame.can_id
+        fuse = trace._records is None and can_id <= MAX_STANDARD_ID
+        kind_counts = trace._kind_counts
+        node_counts = trace._node_counts
+        all_id_counts = trace._id_counts
         byte_index = can_id >> 3
         bit = 1 << (can_id & 7)
-        for name, node in self._nodes.items():
-            if node is sender_node:
+        plannable = True
+        for node in nodes:
+            if node is skip:
                 continue
             transceiver = node.transceiver
             if not transceiver._enabled:
+                if plan is not None:
+                    plan.receivers.append((node, None, None, None, None, None, None))
                 continue
             transceiver.frames_received += 1
             if not fuse:
@@ -246,6 +480,7 @@ class CANBus:
                 continue
             engine = node.policy_engine
             blocked_reason = None
+            controller = block = None
             if engine is None:
                 permitted = True
             else:
@@ -255,6 +490,7 @@ class CANBus:
                     mask = None
                 if mask is None:
                     node.wire_receive(frame)
+                    plannable = False
                     continue
                 block = engine._read_block
                 block.decisions_made += 1
@@ -274,41 +510,59 @@ class CANBus:
                     controller.frames_accepted += 1
                     if controller._rx_error_counter > 0:
                         controller._rx_error_counter -= 1
-                    node.counters.received += 1
-                    node.inbox.append(frame)
-                    node._received_id_log.append(can_id)
+                        plannable = False
+                    counters = node.counters
+                    counters.received += 1
+                    inbox, id_log = node.inbox, node._received_id_log
+                    inbox.append(frame)
+                    id_log.append(can_id)
                     statistics.frames_delivered += 1
                     value = _DELIVERED_V
-                    hook = node.hooks.on_receive
+                    hooks = node.hooks
+                    hook = hooks.on_receive
+                    if plan is not None:
+                        plan.work.append(
+                            (len(plan.receivers) + 1, hooks, inbox.append, id_log.append)
+                        )
                 else:
                     controller.frames_rejected += 1
-                    node.counters.receive_blocked_by_filter += 1
+                    counters = node.counters
+                    counters.receive_blocked_by_filter += 1
                     trace._blocked += 1
                     value = _BLOCKED_READ_FILTER_V
                     hook = node.hooks.on_receive_blocked
                     blocked_reason = "software-filter"
             else:
                 block.blocks += 1
-                node.counters.receive_blocked_by_policy += 1
+                counters = node.counters
+                counters.receive_blocked_by_policy += 1
                 trace._blocked += 1
                 value = _BLOCKED_READ_POLICY_V
                 hook = node.hooks.on_receive_blocked
                 blocked_reason = "policy-engine"
             trace._total += 1
             kind_counts[value] = kind_counts.get(value, 0) + 1
-            per_node = node_counts.get(name)
+            per_node = node_counts.get(node.name)
             if per_node is None:
-                per_node = node_counts[name] = {}
+                per_node = node_counts[node.name] = {}
             per_node[value] = per_node.get(value, 0) + 1
+            # Looked up per event, like the per-node counts: a receive
+            # hook may have cleared the trace since the last receiver.
+            id_counts = all_id_counts.get(can_id)
+            if id_counts is None:
+                id_counts = all_id_counts[can_id] = {}
             id_counts[value] = id_counts.get(value, 0) + 1
+            if plan is not None:
+                plan.receivers.append(
+                    (node, value, transceiver, controller, counters, block, per_node)
+                )
             if hook is not None:
                 if blocked_reason is None:
                     hook(frame)
                 else:
+                    plannable = False
                     hook(frame, blocked_reason)
-        self._busy = False
-        if self._pending:
-            self._start_next_transmission()
+        return plannable
 
     def reset(self) -> None:
         """Restore the bus data path to its just-built state.
@@ -319,6 +573,9 @@ class CANBus:
         deliberately not touched -- it may be externally owned; callers
         reset it separately.
         """
+        _fanout.invalidate()
+        self._plans.clear()
+        self.fanout_plans = self.fanout_planned_frames = self.fanout_fused_frames = 0
         self.trace.clear()
         self.statistics = BusStatistics()
         self._pending.clear()

@@ -12,6 +12,7 @@ from __future__ import annotations
 from enum import Enum
 
 from repro.can.errors import BusOffError
+from repro.can.fanout import invalidate
 from repro.can.filters import FilterBank
 from repro.can.frame import CANFrame
 
@@ -100,6 +101,7 @@ class CANController:
 
     def record_rx_error(self) -> None:
         """Register a reception error (REC += 1)."""
+        invalidate()
         self._rx_error_counter += RX_ERROR_INCREMENT
 
     def record_tx_success(self) -> None:
@@ -126,6 +128,7 @@ class CANController:
         are set up once from the message catalogue and never mutated at
         run time -- a firmware compromise only *bypasses* them).
         """
+        invalidate()
         self.reset()
         self.frames_accepted = 0
         self.frames_rejected = 0

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+from repro.can.fanout import invalidate
 from repro.can.frame import MAX_EXTENDED_ID, MAX_STANDARD_ID, CANFrame
 
 
@@ -97,6 +98,7 @@ class FilterBank:
 
     def add(self, acceptance_filter: AcceptanceFilter) -> None:
         """Add a filter to the bank."""
+        invalidate()
         self._filters.append(acceptance_filter)
         mask = acceptance_filter.mask
         self._by_mask.setdefault(mask, set()).add(acceptance_filter.value & mask)
@@ -108,17 +110,20 @@ class FilterBank:
 
     def clear(self) -> None:
         """Remove all filters."""
+        invalidate()
         self._filters.clear()
         self._by_mask.clear()
         self._accept_mask = None
 
     def set_default_reject(self) -> None:
         """Reject frames when no filter matches (instead of accepting)."""
+        invalidate()
         self._default_accept = False
         self._accept_mask = None
 
     def set_default_accept(self) -> None:
         """Accept frames when no filter matches."""
+        invalidate()
         self._default_accept = True
         self._accept_mask = None
 
@@ -168,10 +173,12 @@ class FilterBank:
         reflecting that software filters offer no protection once the
         firmware configuring them is under attacker control.
         """
+        invalidate()
         self._compromised = True
 
     def restore(self) -> None:
         """Restore normal filtering after a (simulated) firmware reflash."""
+        invalidate()
         self._compromised = False
 
     @property

@@ -18,6 +18,7 @@ from typing import TYPE_CHECKING, Callable, Protocol, runtime_checkable
 
 from repro.can.controller import BUS_OFF_THRESHOLD, CANController
 from repro.can.errors import BusOffError, NodeDetachedError
+from repro.can.fanout import invalidate
 from repro.can.frame import MAX_STANDARD_ID, CANFrame
 from repro.can.trace import TraceEventKind
 from repro.can.transceiver import CANTransceiver
@@ -48,11 +49,19 @@ class PolicyHook(Protocol):
 
 @dataclass
 class ApplicationHooks:
-    """Callbacks into the node's application firmware."""
+    """Callbacks into the node's application firmware.
+
+    Assigning a hook is a receive-state change for compiled fan-out
+    plans (see :mod:`repro.can.fanout`).
+    """
 
     on_receive: Callable[[CANFrame], None] | None = None
     on_send_blocked: Callable[[CANFrame, str], None] | None = None
     on_receive_blocked: Callable[[CANFrame, str], None] | None = None
+
+    def __setattr__(self, name: str, value: object) -> None:
+        invalidate()
+        object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -97,6 +106,10 @@ class CANNode:
         a positive bound keeps only the most recent frames (fleet-scale
         memory diet).  :meth:`received_ids` always covers the whole run
         regardless, via a compact parallel identifier log.
+
+    Rebinding any attribute of a node (its policy engine, hooks,
+    counters, inbox, ...) is a receive-state change for compiled
+    fan-out plans (see :mod:`repro.can.fanout`).
     """
 
     def __init__(
@@ -125,6 +138,10 @@ class CANNode:
         self._firmware_compromised = False
         if inbox_limit is not None:
             self.set_inbox_limit(inbox_limit)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        invalidate()
+        object.__setattr__(self, name, value)
 
     # -- wiring ---------------------------------------------------------------------
 

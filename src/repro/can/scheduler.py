@@ -22,6 +22,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable
 
+from repro.can import fanout as _fanout
+
 
 @dataclass(frozen=True, order=True)
 class Event:
@@ -238,25 +240,30 @@ class EventScheduler:
         max_events:
             Safety bound on the number of events to execute.
 
-        Returns the number of events executed by this call.
+        Returns the number of events executed by this call.  Pending
+        fan-out tallies are expanded before it returns (see
+        :mod:`repro.can.fanout`).
         """
         executed = 0
         queue = self._queue
         cancelled = self._cancelled
-        while queue:
-            entry = queue[0]
-            if until is not None and entry[0] > until:
-                break
-            if max_events is not None and executed >= max_events:
-                break
-            heapq.heappop(queue)
-            if cancelled and entry[1] in cancelled:
-                cancelled.discard(entry[1])
-                continue
-            self._now = entry[0]
-            entry[2]()
-            executed += 1
-            self._processed += 1
+        try:
+            while queue:
+                entry = queue[0]
+                if until is not None and entry[0] > until:
+                    break
+                if max_events is not None and executed >= max_events:
+                    break
+                heapq.heappop(queue)
+                if cancelled and entry[1] in cancelled:
+                    cancelled.discard(entry[1])
+                    continue
+                self._now = entry[0]
+                entry[2]()
+                executed += 1
+                self._processed += 1
+        finally:
+            _fanout.settle()
         if until is not None and (not queue or queue[0][0] > until):
             # Advance the clock to the horizon even if no event lands exactly on it.
             self._now = max(self._now, until)
@@ -267,7 +274,10 @@ class EventScheduler:
         return executed
 
     def step(self) -> bool:
-        """Execute the single next event.  Returns False if none remain."""
+        """Execute the single next event.  Returns False if none remain.
+
+        Like :meth:`run`, expands pending fan-out tallies before returning.
+        """
         cancelled = self._cancelled
         while self._queue:
             time, sequence, callback = heapq.heappop(self._queue)
@@ -275,7 +285,10 @@ class EventScheduler:
                 cancelled.discard(sequence)
                 continue
             self._now = time
-            callback()
+            try:
+                callback()
+            finally:
+                _fanout.settle()
             self._processed += 1
             return True
         return False

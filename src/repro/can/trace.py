@@ -27,7 +27,10 @@ All count-based queries (:meth:`BusTrace.count`, :meth:`~BusTrace.summary`,
 :meth:`~BusTrace.count_for_frame_id`, ``len(trace)``) are served from
 the counters and therefore agree exactly across all three levels.
 Record-returning queries (:meth:`~BusTrace.of_kind`, ...) see only the
-retained window.
+retained window.  At COUNTERS retention a bus may hold frames' counts
+as pending fan-out tallies (see :mod:`repro.can.fanout`); every count
+query, :meth:`~BusTrace.export_metrics`, :meth:`~BusTrace.merge` and
+:meth:`~BusTrace.clear` expands them first.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterator
 
+from repro.can import fanout as _fanout
 from repro.can.frame import CANFrame
 
 #: Default bounded-retention window for :attr:`TraceLevel.RING`.
@@ -191,11 +195,15 @@ class BusTrace:
         *value* string, without the record-retention branch -- callers
         must only use it at COUNTERS retention (``_records is None``),
         where :meth:`record` would not retain a record either, so every
-        count-based query stays bit-identical.  The fused delivery loop
-        in :meth:`repro.can.bus.CANBus._complete_transmission` inlines
-        this same arithmetic (including the blocked tally for the kinds
-        in :data:`BLOCKED_KINDS`); any change here must be mirrored
-        there.
+        count-based query stays bit-identical.
+
+        The same arithmetic lives in three places, and a change to one
+        must be mirrored in the other two: here (with :meth:`record`),
+        inlined per receiver in the fused delivery loop
+        :meth:`repro.can.bus.CANBus._fan_out` (including the blocked
+        tally for the kinds in :data:`BLOCKED_KINDS`), and multiplied
+        out over a plan's frames in
+        :meth:`repro.can.bus.FanoutPlan.apply`.
         """
         self._total += 1
         kind_counts = self._kind_counts
@@ -215,6 +223,7 @@ class BusTrace:
 
     def __len__(self) -> int:
         """Total events ever recorded (identical across retention levels)."""
+        _fanout.settle()
         return self._total
 
     def __iter__(self) -> Iterator[TraceRecord]:
@@ -232,7 +241,12 @@ class BusTrace:
         return len(self._records) if self._records is not None else 0
 
     def clear(self) -> None:
-        """Drop all records and reset every counter."""
+        """Drop all records and reset every counter.
+
+        Pending fan-out tallies are expanded first (into the node and bus
+        counters as well as this trace), then the trace restarts at zero.
+        """
+        _fanout.invalidate()
         if self._records is not None:
             self._records.clear()
         self._total = 0
@@ -245,14 +259,17 @@ class BusTrace:
 
     def count(self, kind: TraceEventKind) -> int:
         """Number of events of the given kind over the whole run."""
+        _fanout.settle()
         return self._kind_counts.get(kind.value, 0)
 
     def blocked_count(self) -> int:
         """Events where a frame was blocked by a filter or policy."""
+        _fanout.settle()
         return self._blocked
 
     def policy_block_count(self) -> int:
         """Frames blocked by a *policy engine* (either direction)."""
+        _fanout.settle()
         counts = self._kind_counts
         return counts.get(TraceEventKind.BLOCKED_READ_POLICY.value, 0) + counts.get(
             TraceEventKind.BLOCKED_WRITE_POLICY.value, 0
@@ -260,6 +277,7 @@ class BusTrace:
 
     def filter_block_count(self) -> int:
         """Frames blocked by a *software filter* (either direction)."""
+        _fanout.settle()
         counts = self._kind_counts
         return counts.get(TraceEventKind.BLOCKED_READ_FILTER.value, 0) + counts.get(
             TraceEventKind.BLOCKED_WRITE_FILTER.value, 0
@@ -267,6 +285,7 @@ class BusTrace:
 
     def count_for_node(self, node: str, kind: TraceEventKind | None = None) -> int:
         """Events attributed to *node*, optionally restricted to one kind."""
+        _fanout.settle()
         node_counts = self._node_counts.get(node)
         if node_counts is None:
             return 0
@@ -276,6 +295,7 @@ class BusTrace:
 
     def count_for_frame_id(self, can_id: int, kind: TraceEventKind | None = None) -> int:
         """Events concerning frames with *can_id*, optionally of one kind."""
+        _fanout.settle()
         id_counts = self._id_counts.get(can_id)
         if id_counts is None:
             return 0
@@ -289,6 +309,7 @@ class BusTrace:
         Keys appear in first-occurrence order, exactly as a scan over a
         FULL record list would produce.
         """
+        _fanout.settle()
         return dict(self._kind_counts)
 
     # -- record queries (retained window only) ----------------------------------
@@ -341,6 +362,7 @@ class BusTrace:
         runner calls this once per simulated vehicle when telemetry is
         enabled; it reads counters only and cannot perturb the trace.
         """
+        _fanout.settle()
         for kind_value, count in self._kind_counts.items():
             registry.inc(prefix + kind_value, count)
         registry.inc("bus.events_total", self._total)
@@ -355,6 +377,7 @@ class BusTrace:
         Counters are summed, so count queries on the merged trace cover
         both full runs even if a source trace retained fewer records.
         """
+        _fanout.settle()
         merged = BusTrace()
         decorated = [(r.time, 0, i, r) for i, r in enumerate(self)]
         decorated += [(r.time, 1, i, r) for i, r in enumerate(other)]

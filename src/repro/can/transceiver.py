@@ -11,6 +11,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING
 
 from repro.can.errors import NodeDetachedError
+from repro.can.fanout import invalidate
 from repro.can.frame import CANFrame
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
@@ -48,16 +49,19 @@ class CANTransceiver:
 
     def attach(self, bus: "CANBus", node: "CANNode") -> None:
         """Attach to *bus*, delivering received frames to *node*."""
+        invalidate()
         self._bus = bus
         self._node = node
 
     def detach(self) -> None:
         """Detach from the bus."""
+        invalidate()
         self._bus = None
         self._node = None
 
     def reset_for_reuse(self) -> None:
         """Restore just-built state: counters to zero, standby cleared."""
+        invalidate()
         self._enabled = True
         self.frames_sent = 0
         self.frames_received = 0
@@ -71,10 +75,12 @@ class CANTransceiver:
 
     def enable(self) -> None:
         """Leave standby."""
+        invalidate()
         self._enabled = True
 
     def standby(self) -> None:
         """Enter standby: no frames are sent or received."""
+        invalidate()
         self._enabled = False
 
     # -- data path -------------------------------------------------------------------

@@ -329,6 +329,9 @@ def simulate_vehicle(
         observe_phase(registry, "simulate.vehicle", wall_seconds)
         observe_phase(registry, "simulate.build", build_seconds)
         car.bus.trace.export_metrics(registry)
+        registry.inc("bus.fanout.plans", car.bus.fanout_plans)
+        registry.inc("bus.fanout.planned_frames", car.bus.fanout_planned_frames)
+        registry.inc("bus.fanout.fused_frames", car.bus.fanout_fused_frames)
     return VehicleOutcome(
         vehicle_id=spec.vehicle_id,
         scenario=spec.scenario,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import Iterable
 
+from repro.can.fanout import invalidate
 from repro.can.frame import MAX_STANDARD_ID, CANFrame
 from repro.core.compiled import CompiledDecisionTable
 from repro.hpe.approved_list import ApprovedIdList, IdRange
@@ -137,6 +138,7 @@ class HardwarePolicyEngine:
         :meth:`update_policy` drops the table again, so a stale table
         can never outlive the lists it was compiled from.
         """
+        invalidate()
         self._compiled = table
         self._compiled_read_mask = table.read_mask
         self._compiled_write_mask = table.write_mask
@@ -145,6 +147,7 @@ class HardwarePolicyEngine:
 
     def clear_compiled_table(self) -> None:
         """Drop the compiled table; decisions fall back to the object path."""
+        invalidate()
         self._compiled = None
         self._compiled_read_mask = None
         self._compiled_write_mask = None
@@ -253,6 +256,7 @@ class HardwarePolicyEngine:
 
     def reset_counters(self) -> None:
         """Reset both filters' decision counters."""
+        invalidate()
         self.read_filter.decision_block.reset_counters()
         self.write_filter.decision_block.reset_counters()
 

@@ -32,6 +32,16 @@ class TestMaliciousNode:
         attacker.detach()
         assert attacker.name not in unprotected_car.bus.node_names()
 
+    def test_same_name_reuses_the_attached_rogue_node(self, unprotected_car):
+        first = MaliciousNode(unprotected_car, name="Rogue")
+        second = MaliciousNode(unprotected_car, name="Rogue")
+        assert second.node is first.node
+        assert unprotected_car.bus.node_names().count("Rogue") == 1
+
+    def test_ecu_name_clash_still_raises(self, unprotected_car):
+        with pytest.raises(ValueError, match="already attached"):
+            MaliciousNode(unprotected_car, name="EV-ECU")
+
     def test_compromise_ecu_helper(self, unprotected_car):
         ecu = compromise_ecu(unprotected_car.sensors)
         assert ecu.firmware_compromised

@@ -1,7 +1,10 @@
 """Tests for the fleet runner: per-vehicle simulation and worker invariance."""
 
+from dataclasses import replace
+
 import pytest
 
+from repro.api import ExperimentConfig
 from repro.fleet.runner import FleetRunner, config_for_label, simulate_vehicle
 from repro.fleet.scenarios import VehicleAction, VehicleSpec, get_scenario
 
@@ -120,3 +123,45 @@ class TestFleetRunner:
         assert result.wall_seconds > 0
         assert result.frames_per_second > 0
         assert result.vehicles_per_second > 0
+
+
+#: One action per attack that attaches a rogue node under a fixed name.
+#: A script repeating one used to crash on the second attach.
+REPEATED_ATTACKS = {
+    "flood": VehicleAction(0.02, "flood", {"frames": 8, "window_s": 0.02, "flood_id": 0}),
+    "targeted_dos": VehicleAction(0.02, "targeted_dos", {"target": "EV-ECU", "repetitions": 2}),
+    "replay": VehicleAction(
+        0.02, "replay", {"capture_duration_s": 0.02, "messages": ("DOOR_UNLOCK_CMD",)}
+    ),
+    "fuzz": VehicleAction(0.02, "fuzz", {"frames": 12}),
+    "attack-T01": VehicleAction(0.02, "attack", {"threat_id": "T01"}),
+    "attack-T03": VehicleAction(0.02, "attack", {"threat_id": "T03"}),
+    "attack-T04": VehicleAction(0.02, "attack", {"threat_id": "T04"}),
+    "attack-T15": VehicleAction(0.02, "attack", {"threat_id": "T15"}),
+}
+
+
+class TestRepeatedAttacks:
+    @pytest.mark.parametrize("name", sorted(REPEATED_ATTACKS))
+    @pytest.mark.parametrize("enforcement", ["unprotected", "hpe+selinux"])
+    def test_repeated_attack_matches_faithful(self, name, enforcement):
+        attack = REPEATED_ATTACKS[name]
+        spec = make_spec(
+            enforcement=enforcement,
+            actions=(
+                VehicleAction(0.0, "drive", {"accel": 60}),
+                attack,
+                replace(attack, time=attack.time + 0.1),
+            ),
+            duration_s=0.3,
+        )
+        faithful = ExperimentConfig.faithful("baseline_cruise", 1)
+        outcome = simulate_vehicle(spec)
+        reference = simulate_vehicle(
+            spec,
+            trace_level=faithful.trace_level,
+            inbox_limit=faithful.inbox_limit,
+            compile_tables=faithful.compile_tables,
+        )
+        assert outcome.attacks_attempted == 2
+        assert outcome.deterministic_tuple() == reference.deterministic_tuple()
