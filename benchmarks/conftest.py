@@ -2,9 +2,12 @@
 
 Each benchmark regenerates one of the paper's artefacts (Table I, Figs.
 1-4, the Section V-A walk-through) or one of the supporting ablations,
-prints the regenerated artefact so ``pytest benchmarks/ --benchmark-only -s``
-doubles as a report generator, and asserts the qualitative shape the
-paper claims.
+prints the regenerated artefact and asserts the qualitative shape the
+paper claims.  The files are named ``bench_*.py``, outside pytest's
+default ``python_files``, so run them as a report generator with::
+
+    PYTHONPATH=src python -m pytest benchmarks/ -q -s \\
+        --override-ini="python_files=bench_*.py"
 """
 
 from __future__ import annotations
@@ -18,30 +21,7 @@ if str(SRC) not in sys.path:
 
 import pytest
 
-from bench_json import BenchJsonWriter
 from repro.casestudy.builder import CaseStudyBuilder
-
-
-def pytest_addoption(parser) -> None:
-    parser.addoption(
-        "--json",
-        action="store",
-        default=None,
-        metavar="PATH",
-        help=(
-            "Write machine-readable benchmark results (throughput, ratios, "
-            "fingerprints) to PATH as JSON; sections merge into any existing "
-            "file so several benchmark modules can share one report "
-            "(e.g. --json BENCH_fleet.json)."
-        ),
-    )
-
-
-@pytest.fixture(scope="session")
-def bench_json(request) -> BenchJsonWriter:
-    """Shared ``--json PATH`` sink for machine-readable benchmark results."""
-    path = request.config.getoption("--json")
-    return BenchJsonWriter(Path(path) if path else None)
 
 
 @pytest.fixture(scope="session")

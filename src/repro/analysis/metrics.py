@@ -6,7 +6,7 @@ configuration, per-asset breakdowns, frames blocked, and the enforcement
 overhead (decision counts, accumulated decision latency, bus
 utilisation).  Fleet-level results (one
 :class:`~repro.fleet.results.FleetResult` per scenario) fold into
-cross-scenario comparison rows and whole-fleet totals.
+whole-fleet totals.
 """
 
 from __future__ import annotations
@@ -215,42 +215,6 @@ def measure_overhead(
 # ---------------------------------------------------------------------------
 # Fleet-scale metrics
 # ---------------------------------------------------------------------------
-
-#: Column headers matching :func:`fleet_comparison_rows`.
-FLEET_COMPARISON_HEADER: tuple[str, ...] = (
-    "scenario",
-    "vehicles",
-    "frames/s",
-    "block-rate",
-    "mitigation",
-    "p99-vehicle-latency-ns",
-    "unhealthy",
-)
-
-
-def fleet_comparison_rows(
-    results: dict[str, FleetResult]
-) -> list[tuple[str, int, float, float, float, float, int]]:
-    """Per-scenario comparison rows for a multi-scenario fleet run.
-
-    One row per scenario in name order; columns follow
-    :data:`FLEET_COMPARISON_HEADER`.
-    """
-    rows = []
-    for name in sorted(results):
-        result = results[name]
-        rows.append(
-            (
-                name,
-                result.vehicles,
-                round(result.frames_per_second, 1),
-                round(result.frame_block_rate, 4),
-                round(result.attack_mitigation_rate, 4),
-                round(result.latency_p99_s * 1e9, 3),
-                result.unhealthy_vehicles,
-            )
-        )
-    return rows
 
 
 def fleet_totals(results: dict[str, FleetResult]) -> dict[str, float | int]:

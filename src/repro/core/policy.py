@@ -297,6 +297,9 @@ class SecurityPolicy:
         self.description = description
         self._access_rules: dict[str, AccessRule] = {}
         self._app_statements: list[PermissionStatement] = []
+        #: Bumped by every ``add_rule``/``remove_rule``, so a rule swap
+        #: that keeps the rule count still yields a new revision.
+        self.revision = 0
         for rule in access_rules:
             self.add_rule(rule)
         for statement in app_statements:
@@ -309,6 +312,7 @@ class SecurityPolicy:
         if rule.rule_id in self._access_rules:
             raise ValueError(f"duplicate rule id {rule.rule_id!r}")
         self._access_rules[rule.rule_id] = rule
+        self.revision += 1
         return rule
 
     def add_app_statement(self, statement: PermissionStatement) -> PermissionStatement:
@@ -319,9 +323,11 @@ class SecurityPolicy:
     def remove_rule(self, rule_id: str) -> AccessRule:
         """Remove and return the rule with the given id."""
         try:
-            return self._access_rules.pop(rule_id)
+            rule = self._access_rules.pop(rule_id)
         except KeyError:
             raise KeyError(f"no rule with id {rule_id!r}") from None
+        self.revision += 1
+        return rule
 
     # -- access ------------------------------------------------------------------------
 

@@ -87,10 +87,10 @@ class PolicyEvaluator:
     of flushing them on every switch.
 
     Invalidation: a policy's entries can never be returned for another
-    policy (object identity, version and rule count are part of the
-    key), and in-place ``add_rule``/``remove_rule`` edits change the
-    rule count and therefore the key.  Callers that mutate a policy
-    without changing its rule count must call :meth:`invalidate`.
+    policy (object identity, version and revision are part of the key),
+    and every in-place ``add_rule``/``remove_rule`` edit bumps the
+    policy's :attr:`~repro.core.policy.SecurityPolicy.revision` and
+    therefore the key.
     """
 
     def __init__(
@@ -106,7 +106,7 @@ class PolicyEvaluator:
         self.catalog = catalog
         self._cache_capacity = cache_capacity
         self._max_cached_policies = max_cached_policies
-        #: key: (policy id, policy version, rule count, node, situation)
+        #: key: (policy id, policy version, policy revision, node, situation)
         self._cache: OrderedDict[tuple, EffectiveNodePolicy] = OrderedDict()
         #: Compiled decision tables, cached alongside the effective
         #: policies under the same keys (and the same invalidation).
@@ -185,7 +185,7 @@ class PolicyEvaluator:
             if len(self._policy_pins) > self._max_cached_policies:
                 evicted_id, _ = self._policy_pins.popitem(last=False)
                 self._drop_policy_entries(evicted_id)
-        return (policy_id, policy.version, len(policy))
+        return (policy_id, policy.version, policy.revision)
 
     # -- single node -------------------------------------------------------------------
 

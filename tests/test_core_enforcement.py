@@ -8,9 +8,9 @@ from repro.core.enforcement import (
     EnforcementCoordinator,
     build_protected_car,
 )
-from repro.core.policy import CarSituation
+from repro.core.policy import AccessRule, CarSituation, Direction, RuleEffect
 from repro.hpe.engine import HardwarePolicyEngine
-from repro.vehicle.messages import NODE_EV_ECU, NODE_INFOTAINMENT
+from repro.vehicle.messages import NODE_EV_ECU, NODE_INFOTAINMENT, NODE_SAFETY
 from repro.vehicle.modes import CarMode
 
 
@@ -125,6 +125,29 @@ class TestPolicyUpdates:
         newer = builder.model.policy.next_version()
         coordinator.apply_policy(newer, car)
         assert coordinator.policy.version == newer.version
+
+    def test_sync_after_an_in_place_rule_swap_reprograms_the_engine(self, builder):
+        car = builder.build_car(EnforcementConfig.hardware_only())
+        coordinator = car.enforcement_coordinator
+        engine = coordinator.engines[NODE_EV_ECU]
+        base_reads = engine.approved_read_ids
+        assert base_reads
+        # A private successor: the builder's policy is shared by every car.
+        policy = coordinator.policy.next_version()
+        coordinator.apply_policy(policy, car)
+        policy.add_rule(
+            AccessRule("SWAP-1", RuleEffect.DENY, NODE_EV_ECU, Direction.READ, ("*",))
+        )
+        coordinator.sync(car)
+        assert engine.approved_read_ids == frozenset()
+        # Same rule count as the denial, different content.
+        policy.remove_rule("SWAP-1")
+        policy.add_rule(
+            AccessRule("SWAP-2", RuleEffect.DENY, NODE_SAFETY, Direction.READ, ("*",))
+        )
+        coordinator.sync(car)
+        assert engine.approved_read_ids == base_reads
+        assert engine.compiled_table.read_ids() == base_reads
 
     def test_counters(self, protected_car):
         coordinator = protected_car.enforcement_coordinator

@@ -30,6 +30,23 @@ def empty_policy() -> SecurityPolicy:
     return SecurityPolicy("empty")
 
 
+DENY_EV_ECU_READS = AccessRule(
+    "P-1", RuleEffect.DENY, NODE_EV_ECU, Direction.READ, ("*",)
+)
+
+
+def swap_ev_ecu_rule(policy: SecurityPolicy, replacement_id: str) -> None:
+    """Swap the EV-ECU read denial for a rule that leaves EV-ECU alone.
+
+    The rule count stays the same, so only the policy's revision tells
+    the two states apart.
+    """
+    policy.remove_rule(DENY_EV_ECU_READS.rule_id)
+    policy.add_rule(
+        AccessRule(replacement_id, RuleEffect.DENY, NODE_SAFETY, Direction.READ, ("*",))
+    )
+
+
 class TestBaseAllowance:
     def test_base_write_ids_follow_catalogue(self, evaluator, catalog):
         effective = evaluator.effective_for_node(
@@ -233,6 +250,33 @@ class TestDecisionCache:
         after = cached.effective_for_node(NODE_SENSORS, policy, situation)
         assert before.write_ids
         assert not after.write_ids
+
+    @pytest.mark.parametrize("replacement_id", ["P-2", "P-1"], ids=["other-id", "same-id"])
+    def test_rule_swap_invalidates_effective_policy(self, catalog, replacement_id):
+        cached = PolicyEvaluator(catalog)
+        policy = SecurityPolicy("p", access_rules=[DENY_EV_ECU_READS])
+        situation = CarSituation()
+        assert not cached.effective_for_node(NODE_EV_ECU, policy, situation).read_ids
+        swap_ev_ecu_rule(policy, replacement_id)
+        after = cached.effective_for_node(NODE_EV_ECU, policy, situation)
+        assert after.read_ids
+        assert after == PolicyEvaluator(catalog).effective_for_node(
+            NODE_EV_ECU, policy, situation
+        )
+
+    @pytest.mark.parametrize("replacement_id", ["P-2", "P-1"], ids=["other-id", "same-id"])
+    def test_rule_swap_invalidates_compiled_table(self, catalog, replacement_id):
+        cached = PolicyEvaluator(catalog)
+        policy = SecurityPolicy("p", access_rules=[DENY_EV_ECU_READS])
+        situation = CarSituation()
+        before = cached.compile_for_node(NODE_EV_ECU, policy, situation)
+        swap_ev_ecu_rule(policy, replacement_id)
+        after = cached.compile_for_node(NODE_EV_ECU, policy, situation)
+        assert after is not before
+        assert after.read_ids()
+        assert after == PolicyEvaluator(catalog).compile_for_node(
+            NODE_EV_ECU, policy, situation
+        )
 
     def test_explicit_invalidate_clears_entries_and_stats_keep_counting(self, catalog):
         cached = PolicyEvaluator(catalog)
