@@ -602,6 +602,14 @@ class FleetSession:
                     record.specs = None  # O(encoded-chunk), not O(objects)
                 handle = write_block(record.payload)
                 record.spec_handle = handle
+                if plan is not None and plan.fires(
+                    "shm_drop", record.index, record.attempt
+                ):
+                    # Injected infrastructure fault: the segment
+                    # vanishes before the worker's read.  Unlinked
+                    # before submitting, so no idle worker can win
+                    # the race and read it first.
+                    record.discard_spec_segment()
                 try:
                     record.result = pool.apply_async(
                         simulate_shm, (handle,), {"fault": fault}
@@ -609,12 +617,6 @@ class FleetSession:
                 except BaseException:
                     record.discard_spec_segment()
                     raise
-                if plan is not None and plan.fires(
-                    "shm_drop", record.index, record.attempt
-                ):
-                    # Injected infrastructure fault: the segment
-                    # vanishes between submit and the worker's read.
-                    record.discard_spec_segment()
             else:
                 record.spec_handle = None
                 record.result = pool.apply_async(

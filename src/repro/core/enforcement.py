@@ -337,10 +337,11 @@ class EnforcementCoordinator:
                 f"policy version {policy.version} does not supersede active "
                 f"version {self.policy.version}"
             )
-        # The evaluator's decision cache keys entries by policy identity,
-        # so the superseding policy starts cold and the old policy's
-        # entries age out of the LRU -- no explicit flush needed (which
-        # matters when the evaluator is shared across a fleet).
+        # The evaluator's decision cache keys entries by policy digest
+        # (content), so a superseding policy another car already
+        # enforces is served warm, and the old policy's entries age out
+        # of the LRU -- no explicit flush needed (which matters when the
+        # evaluator is shared across a fleet).
         self.policy = policy
         self.sync(car)
 

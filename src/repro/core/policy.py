@@ -21,6 +21,7 @@ The paper's Table I expresses per-threat policies as ``R`` / ``W`` /
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import TYPE_CHECKING, Iterable, Iterator
@@ -278,6 +279,11 @@ class SecurityPolicy:
     Holds the CAN-level access rules and the application-level (SELinux)
     permission statements, plus bookkeeping linking rules back to the
     threats they mitigate.
+
+    Cached decisions name a policy by its content (:attr:`digest`), not
+    by object.  A policy shared by several vehicles -- the parse of a
+    signed update bundle -- is frozen (:meth:`freeze`): its mutators
+    raise, and an edit starts from a :meth:`next_version` copy.
     """
 
     def __init__(
@@ -297,9 +303,9 @@ class SecurityPolicy:
         self.description = description
         self._access_rules: dict[str, AccessRule] = {}
         self._app_statements: list[PermissionStatement] = []
-        #: Bumped by every ``add_rule``/``remove_rule``, so a rule swap
-        #: that keeps the rule count still yields a new revision.
-        self.revision = 0
+        #: Cached :attr:`digest`; ``add_rule``/``remove_rule`` clear it.
+        self._digest: str | None = None
+        self._frozen = False
         for rule in access_rules:
             self.add_rule(rule)
         for statement in app_statements:
@@ -309,27 +315,55 @@ class SecurityPolicy:
 
     def add_rule(self, rule: AccessRule) -> AccessRule:
         """Add a CAN-level access rule (duplicate ids rejected)."""
+        self._check_mutable()
         if rule.rule_id in self._access_rules:
             raise ValueError(f"duplicate rule id {rule.rule_id!r}")
         self._access_rules[rule.rule_id] = rule
-        self.revision += 1
+        self._digest = None
         return rule
 
     def add_app_statement(self, statement: PermissionStatement) -> PermissionStatement:
         """Add an application-level permission statement."""
+        self._check_mutable()
         self._app_statements.append(statement)
         return statement
 
     def remove_rule(self, rule_id: str) -> AccessRule:
         """Remove and return the rule with the given id."""
+        self._check_mutable()
         try:
             rule = self._access_rules.pop(rule_id)
         except KeyError:
             raise KeyError(f"no rule with id {rule_id!r}") from None
-        self.revision += 1
+        self._digest = None
         return rule
 
+    def freeze(self) -> "SecurityPolicy":
+        """Make the policy read-only (its mutators raise) and return it."""
+        self._frozen = True
+        return self
+
+    def _check_mutable(self) -> None:
+        if self._frozen:
+            raise RuntimeError(f"{self} is frozen; edit a next_version() copy instead")
+
     # -- access ------------------------------------------------------------------------
+
+    @property
+    def digest(self) -> str:
+        """SHA-256 over the version and every access rule, in insertion order.
+
+        The hashed rule lines are the ones
+        :func:`repro.core.dsl.render_policy` writes (``rule_id: render``).
+        Name, description and application statements stay out: the
+        policy evaluator reads none of them, so equal digests evaluate
+        to equal decisions and may share cached ones.
+        """
+        if self._digest is None:
+            lines = [f"v{self.version}"]
+            lines.extend(f"{rule.rule_id}: {rule.render()}" for rule in self)
+            self._digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        return self._digest
 
     @property
     def access_rules(self) -> list[AccessRule]:
@@ -374,7 +408,7 @@ class SecurityPolicy:
     # -- evolution ----------------------------------------------------------------------
 
     def next_version(self, description: str = "") -> "SecurityPolicy":
-        """A copy of this policy with the version bumped (for policy updates)."""
+        """A mutable copy of this policy with the version bumped (for policy updates)."""
         successor = SecurityPolicy(
             name=self.name,
             version=self.version + 1,

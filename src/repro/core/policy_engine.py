@@ -75,45 +75,34 @@ class EffectiveNodePolicy:
 class PolicyEvaluator:
     """Compute effective per-node approved lists from a security policy.
 
-    Evaluation results are cached in an LRU keyed by ``(node,
-    situation)`` within each evaluated policy, mirroring the SELinux
-    access-vector cache (:class:`repro.selinux.avc.AccessVectorCache`):
-    the fleet hot path -- fitting and synchronising thousands of
-    vehicles that share one derived policy -- would otherwise recompute
-    identical effective policies for every car.  Several policies may
-    be cached at once (bounded by ``max_cached_policies``), so a
-    staggered OTA rollout that interleaves the base policy with
-    per-vehicle successors keeps the shared base entries warm instead
-    of flushing them on every switch.
+    Evaluation results are cached in an LRU keyed by ``(policy digest,
+    node, situation)``, mirroring the SELinux access-vector cache
+    (:class:`repro.selinux.avc.AccessVectorCache`): the fleet hot path
+    -- fitting and synchronising thousands of vehicles that share one
+    derived policy -- would otherwise recompute identical effective
+    policies for every car.  The digest
+    (:attr:`~repro.core.policy.SecurityPolicy.digest`) names a policy by
+    content, so equal-content policy objects -- the base policy, or the
+    OTA successor every vehicle of a rollout parses from one signed
+    bundle -- share one effective policy and one compiled table, and a
+    staggered rollout that interleaves the two keeps both warm.
+    ``cache_capacity`` bounds each LRU.
 
-    Invalidation: a policy's entries can never be returned for another
-    policy (object identity, version and revision are part of the key),
-    and every in-place ``add_rule``/``remove_rule`` edit bumps the
-    policy's :attr:`~repro.core.policy.SecurityPolicy.revision` and
-    therefore the key.
+    Invalidation: an in-place ``add_rule``/``remove_rule`` edit changes
+    the policy's digest and therefore the key; entries for content no
+    longer enforced age out of the LRU.
     """
 
-    def __init__(
-        self,
-        catalog: MessageCatalog,
-        cache_capacity: int = 256,
-        max_cached_policies: int = 8,
-    ) -> None:
+    def __init__(self, catalog: MessageCatalog, cache_capacity: int = 256) -> None:
         if cache_capacity <= 0:
             raise ValueError("cache capacity must be positive")
-        if max_cached_policies <= 0:
-            raise ValueError("max cached policies must be positive")
         self.catalog = catalog
         self._cache_capacity = cache_capacity
-        self._max_cached_policies = max_cached_policies
-        #: key: (policy id, policy version, policy revision, node, situation)
+        #: key: (policy digest, node, situation)
         self._cache: OrderedDict[tuple, EffectiveNodePolicy] = OrderedDict()
         #: Compiled decision tables, cached alongside the effective
-        #: policies under the same keys (and the same invalidation).
+        #: policies under the same keys.
         self._compiled: OrderedDict[tuple, CompiledDecisionTable] = OrderedDict()
-        #: Policies with live cache entries, pinned strongly (LRU) so a
-        #: cached policy's id() cannot be reused by a new object.
-        self._policy_pins: OrderedDict[int, SecurityPolicy] = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_flushes = 0
@@ -126,7 +115,6 @@ class PolicyEvaluator:
         """Drop every cached effective policy and compiled table (all policies)."""
         self._cache.clear()
         self._compiled.clear()
-        self._policy_pins.clear()
         self.cache_flushes += 1
 
     @property
@@ -164,36 +152,13 @@ class PolicyEvaluator:
         self._metrics_baseline = current
         return {key: value - previous.get(key, 0) for key, value in current.items()}
 
-    def _drop_policy_entries(self, policy_id: int) -> None:
-        for key in [k for k in self._cache if k[0] == policy_id]:
-            del self._cache[key]
-        for key in [k for k in self._compiled if k[0] == policy_id]:
-            del self._compiled[key]
-
-    def _policy_key(self, policy: SecurityPolicy) -> tuple[int, int, int]:
-        """Pin *policy* and return its cache-key prefix.
-
-        The pin set is LRU-bounded: evicting a policy drops its entries,
-        keeping memory bounded when many short-lived policies (e.g. one
-        OTA successor per fleet vehicle) pass through.
-        """
-        policy_id = id(policy)
-        if policy_id in self._policy_pins:
-            self._policy_pins.move_to_end(policy_id)
-        else:
-            self._policy_pins[policy_id] = policy
-            if len(self._policy_pins) > self._max_cached_policies:
-                evicted_id, _ = self._policy_pins.popitem(last=False)
-                self._drop_policy_entries(evicted_id)
-        return (policy_id, policy.version, policy.revision)
-
     # -- single node -------------------------------------------------------------------
 
     def effective_for_node(
         self, node: str, policy: SecurityPolicy, situation: CarSituation
     ) -> EffectiveNodePolicy:
         """The effective read/write identifier sets for *node* in *situation*."""
-        key = self._policy_key(policy) + (node, situation)
+        key = (policy.digest, node, situation)
         cached = self._cache.get(key)
         if cached is not None:
             self.cache_hits += 1
@@ -217,7 +182,7 @@ class PolicyEvaluator:
         same key and invalidation rules as the effective-policy cache,
         so every car in a worker shares one table per decision.
         """
-        key = self._policy_key(policy) + (node, situation)
+        key = (policy.digest, node, situation)
         cached = self._compiled.get(key)
         if cached is not None:
             self.compile_hits += 1

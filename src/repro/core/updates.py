@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import lru_cache
 
 from repro.core.dsl import parse_policy, render_policy
 from repro.core.enforcement import EnforcementCoordinator
@@ -32,6 +33,12 @@ class UpdateRejected(Exception):
 def _signature(payload: bytes, key: bytes) -> str:
     """HMAC-SHA256 signature of *payload* under *key* (hex encoded)."""
     return hmac.new(key, payload, hashlib.sha256).hexdigest()
+
+
+@lru_cache(maxsize=64)
+def _parse_bundle_text(policy_text: str, version: int) -> SecurityPolicy:
+    """Parse a bundle's policy once per process; the shared result is frozen."""
+    return parse_policy(policy_text, version=version).freeze()
 
 
 @dataclass(frozen=True)
@@ -64,8 +71,13 @@ class PolicyUpdateBundle:
         return hmac.compare_digest(expected, self.signature)
 
     def parse(self) -> SecurityPolicy:
-        """Parse the carried policy text."""
-        return parse_policy(self.policy_text, version=self.version)
+        """Parse the carried policy text.
+
+        Memoised per process on ``(policy_text, version)``: every vehicle
+        of a rollout wave that applies this bundle gets the same policy
+        object, so it is frozen (edit a ``next_version()`` copy instead).
+        """
+        return _parse_bundle_text(self.policy_text, self.version)
 
 
 class PolicyUpdateClient:
@@ -95,9 +107,10 @@ class PolicyUpdateClient:
     def apply(self, bundle: PolicyUpdateBundle, car: ConnectedCar) -> SecurityPolicy:
         """Verify and apply a policy update to *car*.
 
-        Raises :class:`UpdateRejected` when the signature is invalid or
+        Raises :class:`UpdateRejected` when the signature is invalid,
         the version does not supersede the currently enforced policy
-        (rollback protection).
+        (rollback protection), or the policy text's ``policy <name> vN``
+        header declares another version than the signed one.
         """
         if not bundle.verify(self._verification_key):
             self.rejected_bundles += 1
@@ -109,6 +122,12 @@ class PolicyUpdateClient:
                 f"version {self.current_version}"
             )
         policy = bundle.parse()
+        if policy.version != bundle.version:
+            self.rejected_bundles += 1
+            raise UpdateRejected(
+                f"policy text declares version {policy.version} but the bundle "
+                f"is signed as version {bundle.version}"
+            )
         self.coordinator.apply_policy(policy, car)
         self.applied_versions.append(bundle.version)
         return policy

@@ -72,6 +72,15 @@ CONFIG_BY_LABEL: dict[str, EnforcementConfig | None] = {
 #: Signing key for simulated staggered OTA policy rollouts.
 _OTA_SIGNING_KEY = b"fleet-ota-rollout-key"
 
+#: This process's signed OTA bundles, keyed by everything a bundle's
+#: bytes depend on: the base policy's content digest and name and the
+#: successor's description.  The OEM side signs one bundle per rollout
+#: wave instead of one per vehicle; every vehicle still verifies and
+#: applies it itself.  Bounded by :data:`_OTA_BUNDLE_LIMIT`, oldest
+#: entry evicted first.
+_OTA_BUNDLES: dict[tuple[str, str, str], PolicyUpdateBundle] = {}
+_OTA_BUNDLE_LIMIT = 32
+
 #: Per-node inbox retention used by the fleet hot path.  Generously
 #: larger than any attack-primitive observation window (replay captures
 #: ~0.1 s of traffic) while bounding retained frame *objects* per
@@ -213,12 +222,16 @@ def _do_policy_update(
     coordinator = getattr(car, "enforcement_coordinator", None)
     if coordinator is None:
         return False
-    successor = coordinator.policy.next_version(
-        str(action.param("description", "fleet policy rollout"))
-    )
-    bundle = PolicyUpdateBundle.create(successor, _OTA_SIGNING_KEY)
-    client = PolicyUpdateClient(coordinator, _OTA_SIGNING_KEY)
-    client.apply(bundle, car)
+    policy = coordinator.policy
+    description = str(action.param("description", "fleet policy rollout"))
+    key = (policy.digest, policy.name, description or policy.description)
+    bundle = _OTA_BUNDLES.get(key)
+    if bundle is None:
+        bundle = PolicyUpdateBundle.create(policy.next_version(description), _OTA_SIGNING_KEY)
+        if len(_OTA_BUNDLES) >= _OTA_BUNDLE_LIMIT:
+            del _OTA_BUNDLES[next(iter(_OTA_BUNDLES))]
+        _OTA_BUNDLES[key] = bundle
+    PolicyUpdateClient(coordinator, _OTA_SIGNING_KEY).apply(bundle, car)
     return True
 
 

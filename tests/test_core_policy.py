@@ -1,5 +1,7 @@
 """Tests for the core policy model (permissions, conditions, rules, policy)."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -227,3 +229,55 @@ class TestSecurityPolicy:
         assert summary["access_rules"] == 2
         assert summary["app_statements"] == 1
         assert summary["mitigated_threats"] == 2
+
+
+class TestDigest:
+    """The content digest the policy evaluator keys its caches by."""
+
+    RULES = (
+        AccessRule("P-1", RuleEffect.DENY, "EV-ECU", Direction.READ,
+                   ("ECU_DISABLE",), derived_from="T01"),
+        AccessRule("P-2", RuleEffect.DENY, "Sensors", Direction.WRITE, ("ECU_DISABLE",)),
+    )
+
+    def test_equal_content_gives_equal_digests(self):
+        first = SecurityPolicy("digest-policy", access_rules=self.RULES)
+        second = SecurityPolicy("digest-policy", access_rules=self.RULES)
+        assert first is not second
+        assert first.digest == second.digest
+
+    def test_version_is_part_of_the_content(self):
+        policy = SecurityPolicy("digest-policy", access_rules=self.RULES)
+        assert policy.next_version().digest != policy.digest
+
+    def test_rule_edits_move_the_digest_and_restoring_restores_it(self):
+        policy = SecurityPolicy("digest-policy", access_rules=self.RULES)
+        original = policy.digest
+        policy.add_rule(
+            AccessRule("P-3", RuleEffect.ALLOW, "EPS", Direction.READ, ("EPS_STATUS",))
+        )
+        added = policy.digest
+        policy.remove_rule("P-3")
+        assert policy.digest == original
+        removed_rule = policy.remove_rule("P-2")
+        removed = policy.digest
+        # Same-id replace: same id and rule count, different content.
+        policy.add_rule(replace(removed_rule, node="EPS"))
+        replaced = policy.digest
+        assert len({original, added, removed, replaced}) == 4
+        policy.remove_rule("P-2")
+        policy.add_rule(removed_rule)
+        assert policy.digest == original
+
+    def test_name_description_and_app_statements_stay_out(self):
+        plain = SecurityPolicy("digest-policy", access_rules=self.RULES)
+        statement = PermissionStatement("a_t", "b_t", "package", frozenset({"install"}))
+        dressed = SecurityPolicy(
+            "another-name",
+            access_rules=self.RULES,
+            app_statements=[statement],
+            description="a description",
+        )
+        assert dressed.digest == plain.digest
+        plain.add_app_statement(statement)
+        assert dressed.digest == plain.digest

@@ -38,7 +38,7 @@ DENY_EV_ECU_READS = AccessRule(
 def swap_ev_ecu_rule(policy: SecurityPolicy, replacement_id: str) -> None:
     """Swap the EV-ECU read denial for a rule that leaves EV-ECU alone.
 
-    The rule count stays the same, so only the policy's revision tells
+    The rule count stays the same, so only the policy's digest tells
     the two states apart.
     """
     policy.remove_rule(DENY_EV_ECU_READS.rule_id)
@@ -228,13 +228,26 @@ class TestDecisionCache:
         assert cached.cache_hits == 1
         assert cached.cache_size == 2
 
-    def test_evicted_policies_drop_their_entries(self, catalog):
-        cached = PolicyEvaluator(catalog, max_cached_policies=2)
+    def test_equal_content_policies_share_one_entry_and_one_table(self, catalog):
+        cached = PolicyEvaluator(catalog)
         situation = CarSituation()
-        policies = [empty_policy() for _ in range(3)]
+        first = SecurityPolicy("p", access_rules=[DENY_EV_ECU_READS])
+        second = SecurityPolicy("p", access_rules=[DENY_EV_ECU_READS])
+        effective = cached.effective_for_node(NODE_EV_ECU, first, situation)
+        table = cached.compile_for_node(NODE_EV_ECU, first, situation)
+        assert cached.effective_for_node(NODE_EV_ECU, second, situation) is effective
+        assert cached.compile_for_node(NODE_EV_ECU, second, situation) is table
+        assert cached.cache_misses == 1
+        assert cached.compile_misses == 1
+
+    def test_evicted_policies_drop_their_entries(self, catalog):
+        cached = PolicyEvaluator(catalog, cache_capacity=2)
+        situation = CarSituation()
+        # Distinct content: equal-content policies would share one entry.
+        policies = [SecurityPolicy("empty", version=version) for version in (1, 2, 3)]
         for policy in policies:
             cached.effective_for_node(NODE_SENSORS, policy, situation)
-        # The first policy was evicted from the pin set with its entries.
+        # The first policy's entry was the least recently used one.
         assert cached.cache_size == 2
         cached.effective_for_node(NODE_SENSORS, policies[0], situation)
         assert cached.cache_misses == 4
@@ -297,5 +310,3 @@ class TestDecisionCache:
     def test_capacity_must_be_positive(self, catalog):
         with pytest.raises(ValueError):
             PolicyEvaluator(catalog, cache_capacity=0)
-        with pytest.raises(ValueError):
-            PolicyEvaluator(catalog, max_cached_policies=0)

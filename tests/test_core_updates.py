@@ -1,11 +1,15 @@
 """Tests for signed post-deployment policy updates."""
 
+import hashlib
+import hmac
+
 import pytest
 
-from repro.core.dsl import parse_policy
+from repro.core.dsl import parse_policy, render_policy
 from repro.core.enforcement import EnforcementConfig
-from repro.core.policy import AccessRule, Direction, RuleEffect
+from repro.core.policy import AccessRule, Direction, RuleEffect, SecurityPolicy
 from repro.core.updates import PolicyUpdateBundle, PolicyUpdateClient, UpdateRejected
+from repro.selinux.compiler import PermissionStatement
 
 SIGNING_KEY = b"oem-signing-key"
 WRONG_KEY = b"someone-else"
@@ -35,6 +39,16 @@ def make_updated_policy(builder, new_rule_id="P-NEW-1"):
     return updated
 
 
+def mislabelled_bundle(policy, header_version, signed_version):
+    """A validly signed bundle whose text header names another version."""
+    text = render_policy(
+        SecurityPolicy(policy.name, version=header_version, access_rules=policy.access_rules)
+    )
+    payload = f"{signed_version}:{text}".encode()
+    signature = hmac.new(SIGNING_KEY, payload, hashlib.sha256).hexdigest()
+    return PolicyUpdateBundle(policy_text=text, version=signed_version, signature=signature)
+
+
 class TestBundle:
     def test_create_and_verify(self, builder):
         policy = make_updated_policy(builder)
@@ -49,6 +63,25 @@ class TestBundle:
         restored = bundle.parse()
         assert restored.version == policy.version
         assert "P-NEW-1" in restored
+
+    def test_parsed_policy_is_shared_and_frozen(self, builder):
+        bundle = PolicyUpdateBundle.create(make_updated_policy(builder), SIGNING_KEY)
+        parsed = bundle.parse()
+        assert bundle.parse() is parsed
+        rule = AccessRule("P-X", RuleEffect.DENY, "EPS", Direction.READ, ("DIAG_REQUEST",))
+        statement = PermissionStatement("a_t", "b_t", "package", frozenset({"install"}))
+        with pytest.raises(RuntimeError, match="frozen"):
+            parsed.add_rule(rule)
+        with pytest.raises(RuntimeError, match="frozen"):
+            parsed.remove_rule("P-NEW-1")
+        with pytest.raises(RuntimeError, match="frozen"):
+            parsed.add_app_statement(statement)
+        successor = parsed.next_version()
+        successor.add_rule(rule)
+        successor.remove_rule("P-NEW-1")
+        successor.add_app_statement(statement)
+        assert "P-NEW-1" in parsed and "P-X" not in parsed
+        assert not parsed.app_statements
 
     def test_tampered_text_fails_verification(self, builder):
         bundle = PolicyUpdateBundle.create(make_updated_policy(builder), SIGNING_KEY)
@@ -95,6 +128,29 @@ class TestClient:
         with pytest.raises(UpdateRejected):
             client.apply(bundle, car)
         assert client.rejected_bundles == 1
+
+    def test_header_naming_an_older_version_is_rejected(self, builder, deployment):
+        car, client = deployment
+        enforced = client.current_version
+        bundle = mislabelled_bundle(builder.model.policy, enforced, enforced + 5)
+        assert bundle.verify(SIGNING_KEY)
+        with pytest.raises(UpdateRejected, match="signed as version"):
+            client.apply(bundle, car)
+        assert client.rejected_bundles == 1
+        assert client.current_version == enforced
+
+    def test_header_naming_a_newer_version_is_rejected(self, builder, deployment):
+        car, client = deployment
+        enforced = client.current_version
+        bundle = mislabelled_bundle(builder.model.policy, enforced + 9, enforced + 1)
+        with pytest.raises(UpdateRejected, match="signed as version"):
+            client.apply(bundle, car)
+        assert client.rejected_bundles == 1
+        assert client.current_version == enforced
+        assert client.applied_versions == []
+        # The car was not pushed ahead, so the next legitimate update applies.
+        client.apply(PolicyUpdateBundle.create(make_updated_policy(builder), SIGNING_KEY), car)
+        assert client.applied_versions == [enforced + 1]
 
     def test_update_changes_runtime_enforcement(self, builder, deployment):
         """The paper's headline property: a new threat is countered by a

@@ -293,6 +293,31 @@ class TestRandomSchedules:
 
 
 @pytest.mark.skipif(not SHM_AVAILABLE, reason="POSIX shared memory unavailable")
+class TestShmDrop:
+    def test_drop_fires_however_slow_the_parent_is(self, monkeypatch):
+        # A 1 s stall in the parent around the drop gives an idle
+        # worker ample time to read the segment -- unless the segment
+        # is unlinked before the chunk is submitted.
+        fires = FaultPlan.fires
+
+        def slow_fires(plan, kind, chunk, attempt):
+            event = fires(plan, kind, chunk, attempt)
+            if event is not None and kind == "shm_drop":
+                clock.sleep(1.0)
+            return event
+
+        monkeypatch.setattr(FaultPlan, "fires", slow_fires)
+        config = _config(vehicles=24, workers=2, chunk_size=4, spec_transfer="shm")
+        plan = FaultPlan.parse("shm_drop:chunk=0")
+        with FleetSession(config, fault_plan=plan, telemetry=True) as session:
+            result = session.run()
+            counters = dict(session.metrics_snapshot().counters)
+        assert counters["resilience.chunk_failures"] == 1
+        assert counters["resilience.retries"] == 1
+        assert result.fingerprint() == _fingerprint(config)
+
+
+@pytest.mark.skipif(not SHM_AVAILABLE, reason="POSIX shared memory unavailable")
 class TestSegmentHygiene:
     def test_induced_failures_leak_no_segments(self):
         before = shm_segment_names()

@@ -4,7 +4,10 @@ from dataclasses import replace
 
 import pytest
 
-from repro.api import ExperimentConfig
+from repro.api import ExperimentConfig, FleetSession
+from repro.casestudy.builder import CaseStudyBuilder
+from repro.core.updates import PolicyUpdateBundle
+from repro.fleet import runner
 from repro.fleet.runner import FleetRunner, config_for_label, simulate_vehicle
 from repro.fleet.scenarios import VehicleAction, VehicleSpec, get_scenario
 
@@ -165,3 +168,29 @@ class TestRepeatedAttacks:
         )
         assert outcome.attacks_attempted == 2
         assert outcome.deterministic_tuple() == reference.deterministic_tuple()
+
+
+class TestOtaRollout:
+    def test_a_rollout_signs_once_and_compiles_per_content(self, monkeypatch):
+        """One signed bundle and one table set per process, not per vehicle,
+        while every vehicle still verifies the bundle itself."""
+        verified = []
+        verify = PolicyUpdateBundle.verify
+
+        def counting_verify(bundle, key):
+            verified.append(bundle.version)
+            return verify(bundle, key)
+
+        monkeypatch.setattr(PolicyUpdateBundle, "verify", counting_verify)
+        monkeypatch.setattr(runner, "_OTA_BUNDLES", {})
+        config = ExperimentConfig(scenario="staggered_ota_rollout", vehicles=60, workers=1)
+        with FleetSession(config, builder=CaseStudyBuilder(), telemetry=True) as session:
+            result = session.run()
+            compiles = session.metrics_snapshot().counter("policy.compile_misses")
+        # At most 9 nodes x 3 distinct (policy, situation) pairs.
+        assert compiles <= 27
+        assert len(runner._OTA_BUNDLES) == 1
+        assert len(verified) == result.kernel_runs > 0
+        faithful = ExperimentConfig.faithful("staggered_ota_rollout", 60)
+        with FleetSession(faithful) as session:
+            assert session.run().fingerprint() == result.fingerprint()
