@@ -276,7 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
             "'worker_crash:chunk=3' or "
             "'chunk_error:chunk=0,attempt=any;stall:chunk=2,seconds=1.5' "
             "(a session option: fingerprints are identical with or "
-            "without it)"
+            "without it; a worker-side fault or shm_drop aimed at a chunk "
+            "whose every behaviour key the outcome memo already serves "
+            "cannot fire, because that chunk is never sent to a worker)"
         ),
     )
     run.set_defaults(func=_cmd_fleet_run)

@@ -36,9 +36,12 @@ config reproduces the same fingerprint here, in the legacy
 ``python -m repro fleet run``.
 
 Vehicles that repeat a behaviour key are simulated once: in
-``COUNTERS`` retention with compiled tables, inline runs consult the
-session's :class:`~repro.fleet.runner.OutcomeMemo` and each worker
-process its own, both shared across chunks and runs.
+``COUNTERS`` retention with compiled tables, the session's
+:class:`~repro.fleet.runner.OutcomeMemo` is consulted before any spec
+reaches a worker, and it is shared across chunks and runs.  A parallel
+chunk sends only its misses; its hits and duplicates are joined back in
+vehicle-id order, so the number of kernel runs depends on the
+experiment, not on the worker count.
 """
 
 from __future__ import annotations
@@ -96,21 +99,27 @@ from repro.api.config import ExperimentConfig
 class _ChunkAttempt:
     """One chunk's execution state across retries.
 
-    The parallel loop keeps either the chunk's spec list (pickle
-    transfer) or its encoded :class:`SpecBlock` bytes (shm transfer --
-    far smaller than the objects, keeping the parent O(encoded-chunk))
-    so a failed attempt can be re-queued without regenerating specs.
+    ``specs`` are what the chunk sends to a worker: all of its specs, or
+    only its memo misses when ``plan`` (from
+    :meth:`~repro.fleet.runner.OutcomeMemo.split`) joins the rest back.
+    The parallel loop keeps either that spec list (pickle transfer) or
+    its encoded :class:`SpecBlock` bytes (shm transfer -- far smaller
+    than the objects, keeping the parent O(encoded-chunk)) so a failed
+    attempt can be re-queued without regenerating specs.  ``size`` is
+    the number of specs to run; a chunk of size 0 is never submitted.
     ``attempt`` counts *failed* executions so far; ``result`` and
     ``spec_handle`` always describe the in-flight attempt, and both are
     cleared whenever that attempt is abandoned.
     """
 
-    __slots__ = ("index", "specs", "payload", "attempt", "result", "spec_handle",
-                 "transfer", "last_error")
+    __slots__ = ("index", "specs", "size", "plan", "payload", "attempt", "result",
+                 "spec_handle", "transfer", "last_error")
 
-    def __init__(self, index: int, specs: list[VehicleSpec]):
+    def __init__(self, index: int, specs: list[VehicleSpec], plan: tuple | None = None):
         self.index = index
         self.specs: list[VehicleSpec] | None = specs
+        self.size = len(specs)
+        self.plan = plan
         self.payload: bytes | None = None
         self.attempt = 0
         self.result = None
@@ -208,9 +217,9 @@ class FleetSession:
         #: chunks complete; empty for inline and telemetry-off runs.
         self._worker_snapshot = MetricsSnapshot()
         self._car_pool: CarPool | None = None
-        #: Outcome memo of this session's inline runs (workers keep
-        #: their own); never shared, so an injected builder's outcomes
-        #: stay with the session that built them.
+        #: Outcome memo of this session's runs, inline and parallel;
+        #: never shared, so an injected builder's outcomes stay with
+        #: the session that built them.
         self._memo = OutcomeMemo()
         self._mp_pools: dict[int, multiprocessing.pool.Pool] = {}
         self._last_result: FleetResult | None = None
@@ -534,13 +543,12 @@ class FleetSession:
         if pool is not None:
             registry.set_gauge("pool.size", float(len(pool)))
 
-    def _simulate_inline(
-        self, config: ExperimentConfig, specs: Iterable[VehicleSpec]
-    ) -> Iterator[VehicleOutcome]:
+    def _kernel(self, config: ExperimentConfig):
+        """In-process ``simulate_vehicle`` for *config*: one kernel run per call."""
         # Bound per run, so a wrapper installed on the module-level
         # simulate_vehicle between runs (perfbench's layer tracer) sees
         # every kernel run.
-        simulate = partial(
+        return partial(
             simulate_vehicle,
             builder=self.builder,
             trace_level=config.trace_level,
@@ -548,6 +556,11 @@ class FleetSession:
             pool=self._inline_car_pool() if config.reuse_cars else None,
             compile_tables=config.compile_tables,
         )
+
+    def _simulate_inline(
+        self, config: ExperimentConfig, specs: Iterable[VehicleSpec]
+    ) -> Iterator[VehicleOutcome]:
+        simulate = self._kernel(config)
         if memo_applies(config.trace_level, config.compile_tables):
             return self._memo.outcomes(specs, simulate, config.inbox_limit)
         return map(simulate, specs)
@@ -563,7 +576,7 @@ class FleetSession:
         chunks = _chunked(specs, chunk_size)
         transfer = resolve_spec_transfer(config.spec_transfer)
         policy = config.retry_policy()
-        plan = self._fault_plan
+        faults = self._fault_plan
         breaker = CircuitBreaker(enabled=config.degrade)
         registry = self._registry
         # Workers get their own registry per chunk and ship back drained
@@ -593,7 +606,7 @@ class FleetSession:
             mode = "pickle" if breaker.transfer_degraded else transfer
             if mode != transfer and registry.enabled:
                 registry.inc("resilience.transfer_downgrades")
-            fault = plan.worker_fault(record.index, record.attempt) if plan else None
+            fault = faults.worker_fault(record.index, record.attempt) if faults else None
             record.transfer = mode
             if mode == "shm":
                 if record.payload is None:
@@ -602,7 +615,7 @@ class FleetSession:
                     record.specs = None  # O(encoded-chunk), not O(objects)
                 handle = write_block(record.payload)
                 record.spec_handle = handle
-                if plan is not None and plan.fires(
+                if faults is not None and faults.fires(
                     "shm_drop", record.index, record.attempt
                 ):
                     # Injected infrastructure fault: the segment
@@ -649,11 +662,13 @@ class FleetSession:
             to outcomes), and immune to pool, pipe and shm failures.
             Injected worker faults deliberately do not apply here --
             they model infrastructure failures, and inline execution
-            has no infrastructure left to fail.
+            has no infrastructure left to fail.  The record's specs are
+            its memo misses, already in flight: each runs the kernel
+            directly rather than through the memo.
             """
             if registry.enabled:
                 registry.inc("resilience.degraded_chunks")
-            return list(self._simulate_inline(config, record.materialise_specs()))
+            return list(map(self._kernel(config), record.materialise_specs()))
 
         def complete(record: _ChunkAttempt):
             """Drive one chunk to completion through retries.
@@ -732,19 +747,37 @@ class FleetSession:
         # buffered outcomes bounded by the window whatever the fleet
         # size.  Because ``chunks`` slices the lazy spec stream, specs
         # are also *generated* only as the window advances -- the
-        # parent is O(chunk) end to end.
-        in_flight: deque[_ChunkAttempt] = deque()
+        # parent is O(chunk) end to end.  With the memo on, a chunk is
+        # split as it enters the window and only its misses travel; a
+        # chunk with none still takes its turn in the window, so
+        # consumer-side faults fire on it as on any other.
+        window: deque[_ChunkAttempt] = deque()
         next_index = 0
         current: _ChunkAttempt | None = None
+        memo = None
+        if memo_applies(config.trace_level, config.compile_tables):
+            memo = self._memo
+        # This stream's keys whose first occurrence is not joined yet.
+        pending_keys: dict = {}
+
+        def admit(chunk: list[VehicleSpec]) -> None:
+            nonlocal next_index
+            if memo is None:
+                record = _ChunkAttempt(next_index, chunk)
+            else:
+                join_plan, misses = memo.split(chunk, config.inbox_limit, pending_keys)
+                record = _ChunkAttempt(next_index, misses, join_plan)
+            next_index += 1
+            if record.size:
+                submit(record)
+            window.append(record)
+
         try:
             for chunk in islice(chunks, config.workers + 2):
-                record = _ChunkAttempt(next_index, chunk)
-                next_index += 1
-                submit(record)
-                in_flight.append(record)
-            while in_flight:
-                current = in_flight.popleft()
-                payload, outcomes = complete(current)
+                admit(chunk)
+            while window:
+                current = window.popleft()
+                payload, outcomes = complete(current) if current.size else (None, [])
                 try:
                     # Pulling the next chunk runs scenario script code
                     # (the stream is lazy) and another write_block; if
@@ -752,29 +785,28 @@ class FleetSession:
                     # back for this chunk must not be orphaned.
                     next_chunk = next(chunks, None)
                     if next_chunk is not None:
-                        record = _ChunkAttempt(next_index, next_chunk)
-                        next_index += 1
-                        submit(record)
-                        in_flight.append(record)
+                        admit(next_chunk)
                 except BaseException:
                     if payload is not None and current.transfer == "shm":
                         discard_segment(payload[0].name)
                     raise
-                if plan is not None:
-                    stall = plan.fires("consumer_stall", current.index, current.attempt)
+                if faults is not None:
+                    stall = faults.fires("consumer_stall", current.index, current.attempt)
                     if stall is not None:
                         clock.sleep(stall.seconds)
                 if outcomes is None:
                     outcomes = consume(current, payload)
+                if current.plan is not None:
+                    outcomes = memo.join(current.plan, outcomes, pending_keys)
                 current = None  # fully consumed: nothing left to reclaim
                 yield from outcomes
         finally:
-            leftovers = list(in_flight)
+            leftovers = list(window)
             if current is not None:
                 leftovers.append(current)
             if leftovers:
                 self._discard_in_flight(leftovers)
-            in_flight.clear()
+            window.clear()
 
     def _discard_in_flight(self, records: "list[_ChunkAttempt]") -> None:
         """Cleanup of shm segments for an abandoned or failed stream.

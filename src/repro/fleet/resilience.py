@@ -274,6 +274,13 @@ class FaultPlan:
     and ships worker-side events to the pool, so the same plan against
     the same config reproduces the same failure sequence -- and, because
     chunks are pure, the same final fingerprint as a fault-free run.
+
+    Where the session's outcome memo applies, a chunk is submitted only
+    if it holds a miss: a behaviour key the memo neither stores nor has
+    already sent to a worker.  A worker-side fault (``worker_crash``,
+    ``chunk_error``, ``stall``) or an ``shm_drop`` aimed at a chunk with
+    no misses therefore cannot fire.  ``consumer_stall`` still fires on
+    every chunk: each takes its turn in the in-order consume loop.
     """
 
     events: tuple[FaultEvent, ...] = ()

@@ -23,8 +23,11 @@ seeded RNG streams), and aggregation folds outcomes in vehicle-id order
 seed, which the fleet benchmark asserts.
 
 The same purity lets a fleet that repeats a script simulate it once:
-:class:`OutcomeMemo` serves a repeated behaviour key from the outcome
-its first vehicle produced (see :func:`memo_applies` for when).
+the session's :class:`OutcomeMemo` serves a repeated behaviour key from
+the outcome its first vehicle produced (see :func:`memo_applies` for
+when).  The session consults it before anything reaches a worker, so
+workers have no memo: the chunk functions simulate exactly the specs
+they receive.
 """
 
 from __future__ import annotations
@@ -381,13 +384,28 @@ SEEDED_ACTION_KINDS = frozenset({"fuzz"})
 
 
 def memo_applies(trace_level: TraceLevel | str, compile_tables: bool) -> bool:
-    """Whether chunk simulation consults an :class:`OutcomeMemo`.
+    """Whether a session consults its :class:`OutcomeMemo`.
 
     Only with ``COUNTERS`` retention and compiled tables -- the default
     and ``throughput()`` regime.  Everything else runs every vehicle
     through the kernel, which keeps ``faithful()`` a memo-free reference.
     """
     return TraceLevel.coerce(trace_level) is TraceLevel.COUNTERS and compile_tables
+
+
+class _Pending:
+    """A key whose first occurrence is in a chunk not yet joined.
+
+    Later duplicates of the key in the same stream are served from this
+    cell, not from the memo's entries, so an eviction between planning
+    and joining cannot strand them.  :meth:`OutcomeMemo.join` fills it.
+    """
+
+    __slots__ = ("key", "outcome")
+
+    def __init__(self, key: tuple) -> None:
+        self.key = key
+        self.outcome: VehicleOutcome | None = None
 
 
 class OutcomeMemo:
@@ -402,20 +420,20 @@ class OutcomeMemo:
     set, so :attr:`~repro.fleet.results.FleetResult.kernel_runs` counts
     only real simulations.
 
-    Scope is the caller's: a session owns the memo of its inline runs
-    and each worker process one for its chunks, shared across chunks
-    and runs.  Outcomes hold only for the builder that produced them,
-    so no memo is ever shared between sessions.
+    One memo per session serves both execution paths, shared across
+    chunks and runs: inline streams go through :meth:`outcomes`, and
+    parallel streams :meth:`split` each chunk before it is sent to a
+    worker and :meth:`join` its results back, so a key is simulated
+    once whatever the worker count.  The memo stores its own copy of
+    each outcome, so nothing it hands out stays reachable through it.
+    Outcomes hold only for the builder that produced them, so no memo
+    is ever shared between sessions.
     """
 
     __slots__ = ("_entries",)
 
     def __init__(self) -> None:
         self._entries: dict[tuple, VehicleOutcome] = {}
-
-    def clear(self) -> None:
-        """Forget every entry."""
-        self._entries.clear()
 
     @staticmethod
     def key(spec: VehicleSpec, inbox_limit: int | None) -> tuple:
@@ -440,24 +458,91 @@ class OutcomeMemo:
         entries = self._entries
         for spec in specs:
             key = self.key(spec, inbox_limit)
-            outcome = entries.get(key)
-            if outcome is None:
+            stored = entries.get(key)
+            if stored is None:
                 outcome = simulate(spec)
-                if len(entries) >= MEMO_LIMIT:
-                    del entries[next(iter(entries))]
-                entries[key] = outcome
+                self._store(key, outcome)
                 yield outcome
-                continue
-            registry = _obs_metrics.ACTIVE
-            if registry.enabled:
-                registry.inc("simulate.memo_hits")
-            yield replace(
-                outcome,
-                vehicle_id=spec.vehicle_id,
-                wall_seconds=0.0,
-                build_seconds=0.0,
-                memo_hit=True,
-            )
+            else:
+                yield self._hit(stored, spec.vehicle_id)
+
+    def split(
+        self,
+        specs: Iterable[VehicleSpec],
+        inbox_limit: int | None,
+        in_flight: dict[tuple, _Pending],
+    ) -> tuple[tuple[list, list[_Pending]], list[VehicleSpec]]:
+        """Plan one chunk of a stream; returns ``(plan, misses)``.
+
+        Each spec is a memo hit, a duplicate of a key whose first
+        occurrence is still in flight (*in_flight*: the stream's keys
+        not yet joined, in this chunk or an earlier one), or a miss.
+        Only the misses need a kernel run; they are registered in
+        *in_flight* in order.  The plan holds vehicle ids and where each
+        outcome comes from, never the specs, so the parent stays
+        O(chunk) while the chunk is away.
+        """
+        entries = self._entries
+        sources: list[tuple[int, VehicleOutcome | _Pending | None]] = []
+        pending: list[_Pending] = []
+        misses: list[VehicleSpec] = []
+        for spec in specs:
+            key = self.key(spec, inbox_limit)
+            source = entries.get(key)
+            if source is None:
+                source = in_flight.get(key)
+                if source is None:
+                    in_flight[key] = cell = _Pending(key)
+                    pending.append(cell)
+                    misses.append(spec)
+            sources.append((spec.vehicle_id, source))
+        return (sources, pending), misses
+
+    def join(
+        self,
+        plan: tuple[list, list[_Pending]],
+        outcomes: Sequence[VehicleOutcome],
+        in_flight: dict[tuple, _Pending],
+    ) -> Iterator[VehicleOutcome]:
+        """A split chunk's outcomes in vehicle-id order.
+
+        *outcomes* are the kernel runs of the chunk's misses, in the
+        order :meth:`split` returned them.  Each is stored and its key
+        leaves *in_flight* before the chunk's hits and duplicates are
+        served.
+        """
+        sources, pending = plan
+        for cell, outcome in zip(pending, outcomes, strict=True):
+            cell.outcome = self._store(cell.key, outcome)
+            del in_flight[cell.key]
+        own = iter(outcomes)
+        for vehicle_id, source in sources:
+            if source is None:
+                yield next(own)
+            else:
+                if type(source) is _Pending:
+                    source = source.outcome
+                yield self._hit(source, vehicle_id)
+
+    def _store(self, key: tuple, outcome: VehicleOutcome) -> VehicleOutcome:
+        """Keep *outcome* as the template every later hit on *key* copies.
+
+        The template is a copy, so the memo never pins an outcome it
+        handed to a caller (a streamed fleet releases each one).
+        """
+        stored = replace(outcome, wall_seconds=0.0, build_seconds=0.0, memo_hit=True)
+        entries = self._entries
+        if len(entries) >= MEMO_LIMIT:
+            del entries[next(iter(entries))]
+        entries[key] = stored
+        return stored
+
+    @staticmethod
+    def _hit(stored: VehicleOutcome, vehicle_id: int) -> VehicleOutcome:
+        registry = _obs_metrics.ACTIVE
+        if registry.enabled:
+            registry.inc("simulate.memo_hits")
+        return replace(stored, vehicle_id=vehicle_id)
 
 
 # ---------------------------------------------------------------------------
@@ -488,20 +573,11 @@ def _process_pool() -> CarPool:
     return _PROCESS_POOL
 
 
-#: This worker process's outcome memo, shared by every chunk it runs.
-_WORKER_MEMO = OutcomeMemo()
-
-
 def _init_worker(extra_paths: list[str]) -> None:
-    """Pool initializer: make ``src`` importable under spawn and pre-derive.
-
-    Also empties the worker memo: a forked worker must start from its
-    own kernel runs, never from entries the parent happened to hold.
-    """
+    """Pool initializer: make ``src`` importable under spawn and pre-derive."""
     for path in extra_paths:
         if path not in sys.path:
             sys.path.insert(0, path)
-    _WORKER_MEMO.clear()
     _process_builder()
 
 
@@ -571,8 +647,6 @@ def _simulate_specs(
         pool=_process_pool() if reuse_cars else None,
         compile_tables=compile_tables,
     )
-    if memo_applies(trace_level, compile_tables):
-        return list(_WORKER_MEMO.outcomes(specs, simulate, inbox_limit))
     return [simulate(spec) for spec in specs]
 
 
@@ -585,7 +659,11 @@ def _simulate_chunk(
     telemetry: bool = False,
     fault: "FaultEvent | None" = None,
 ) -> tuple[list[VehicleOutcome], dict | None]:
-    """Simulate one pickled chunk; returns ``(outcomes, metrics snapshot)``."""
+    """Simulate one pickled chunk; returns ``(outcomes, metrics snapshot)``.
+
+    Every spec runs the kernel: the parent already served the chunk's
+    memo hits and sends only its misses.
+    """
     apply_worker_fault(fault)
     registry = _begin_chunk_telemetry(telemetry)
     with span("simulate"):

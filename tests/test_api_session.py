@@ -216,26 +216,42 @@ class TestStreamingAcceptance:
         )
 
     @pytest.fixture(scope="class")
-    def streamed(self, config):
-        """Stream the fleet, tracking how many yielded outcomes stay alive."""
-        refs, max_alive, count = [], 0, 0
-        with FleetSession(config) as session:
-            last_id = -1
-            for outcome in session.iter_outcomes():
-                assert outcome.vehicle_id > last_id
-                last_id = outcome.vehicle_id
-                refs.append(weakref.ref(outcome))
-                count += 1
-                if count % 200 == 0:
-                    gc.collect()
-                    max_alive = max(
-                        max_alive, sum(1 for ref in refs if ref() is not None)
-                    )
-            result = session.last_result
-        return result, max_alive, count
+    def streams(self, config):
+        """Stream the fleet at a worker count (once per count), tracking
+        how many yielded outcomes stay alive."""
+        cache = {}
 
-    def test_streams_every_vehicle_without_materialising_the_fleet(self, streamed):
-        result, max_alive, count = streamed
+        def stream(workers):
+            if workers in cache:
+                return cache[workers]
+            refs, max_alive, count = [], 0, 0
+            with FleetSession(config.with_overrides(workers=workers)) as session:
+                last_id = -1
+                for outcome in session.iter_outcomes():
+                    assert outcome.vehicle_id > last_id
+                    last_id = outcome.vehicle_id
+                    refs.append(weakref.ref(outcome))
+                    count += 1
+                    if count % 200 == 0:
+                        gc.collect()
+                        max_alive = max(
+                            max_alive, sum(1 for ref in refs if ref() is not None)
+                        )
+                result = session.last_result
+            cache[workers] = result, max_alive, count
+            return cache[workers]
+
+        return stream
+
+    @pytest.fixture(scope="class")
+    def streamed(self, config, streams):
+        return streams(config.workers)
+
+    @pytest.mark.parametrize("workers", [4, 1])
+    def test_streams_every_vehicle_without_materialising_the_fleet(self, streams, workers):
+        # Inline streams hold no window at all; the bound also catches a
+        # memo that keeps the outcomes it yielded.
+        result, max_alive, count = streams(workers)
         assert count == self.VEHICLES
         assert result.vehicles == self.VEHICLES
         # Bounded memory: at any sampled instant, only the chunk in

@@ -6,13 +6,16 @@ spec, so fleet fingerprints cannot tell whether it was on.  These tests
 assert that on random spec streams from every registered scenario and
 on hand-built streams, pin the seed rule (``fuzz`` specs key on their
 seed, everything else shares one kernel run across seeds), pin the
-memo's scope (per session, per worker process), and check that
-throughput and telemetry count kernel runs, not vehicles.
+memo's scope (one per session, consulted before any spec reaches a
+worker; workers keep none), and check that throughput and telemetry
+count kernel runs, not vehicles.
 """
 
 import dataclasses
+import gc
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 from repro.api import ExperimentConfig, FleetSession
 from repro.casestudy.builder import CaseStudyBuilder
 from repro.fleet import runner
+from repro.fleet.resilience import FaultPlan
 from repro.fleet.runner import OutcomeMemo, memo_applies, simulate_vehicle
 from repro.fleet.scenarios import (
     ENFORCEMENT_LABELS,
@@ -171,14 +175,6 @@ class TestHits:
             assert (hit.wall_seconds, hit.build_seconds) == (0.0, 0.0)
 
 
-@pytest.fixture
-def empty_worker_memo():
-    """The in-process worker memo, empty before and after the test."""
-    runner._WORKER_MEMO.clear()
-    yield runner._WORKER_MEMO
-    runner._WORKER_MEMO.clear()
-
-
 def _reseeded_fleet(name):
     """A scenario's fleet followed by a re-seeded copy of every vehicle."""
     specs = get_scenario(name).vehicle_specs(6, seed=2018)
@@ -189,42 +185,69 @@ def _reseeded_fleet(name):
     return specs, copies
 
 
-def _seeded(spec):
-    return any(a.kind in runner.SEEDED_ACTION_KINDS for a in spec.actions)
+def _check_worker_chunk(specs, outcomes):
+    """Outcome-exact, in order, and a kernel run for every spec."""
+    assert _tuples(outcomes) == _object_tuples(specs)
+    assert [o.vehicle_id for o in outcomes] == [s.vehicle_id for s in specs]
+    assert not any(o.memo_hit for o in outcomes)
 
 
-def _check_chunk(specs, copies, outcomes):
-    """Outcome-exact, in order, and one kernel run per distinct key."""
-    assert _tuples(outcomes) == _object_tuples(specs + copies)
-    assert [o.vehicle_id for o in outcomes] == [s.vehicle_id for s in specs + copies]
-    # A re-seeded copy shares its original's run unless it fuzzes.
-    for copy, outcome in zip(copies, outcomes[len(specs):]):
-        assert outcome.memo_hit is not _seeded(copy)
-    limit = runner.DEFAULT_FLEET_INBOX_LIMIT
-    distinct = {OutcomeMemo.key(spec, limit) for spec in specs + copies}
-    assert sum(not o.memo_hit for o in outcomes) == len(distinct)
-
-
-@pytest.mark.usefixtures("empty_worker_memo")
 class TestWorkerChunks:
+    """Workers keep no memo: a chunk function runs every spec it gets."""
+
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_spec_list_path_is_outcome_exact(self, name):
         specs, copies = _reseeded_fleet(name)
         outcomes, snapshot = runner._simulate_chunk(specs + copies)
         assert snapshot is None
-        _check_chunk(specs, copies, outcomes)
+        _check_worker_chunk(specs + copies, outcomes)
 
     @pytest.mark.parametrize("name", SCENARIO_NAMES)
     def test_columnar_block_path_is_outcome_exact(self, name):
-        # The shm entry point decodes a SpecBlock, and the memo flag
-        # must survive the OutcomeBlock trip back to the parent.
+        # The shm entry point decodes a SpecBlock and returns an
+        # OutcomeBlock; repeated keys still each run the kernel.
         specs, copies = _reseeded_fleet(name)
         handle = write_block(SpecBlock.encode(specs + copies).to_bytes())
         out_handle, _ = runner._simulate_chunk_shm(handle)
         outcomes = OutcomeBlock.from_bytes(read_block(out_handle)).decode()
-        _check_chunk(specs, copies, outcomes)
+        _check_worker_chunk(specs + copies, outcomes)
 
-    def test_mixed_fuzz_and_drive_chunk_keys_per_vehicle(self):
+    def test_chunk_snapshot_counts_every_spec_as_a_kernel_run(self):
+        specs, copies = _reseeded_fleet("baseline_cruise")
+        outcomes, snapshot = runner._simulate_chunk(specs + copies, telemetry=True)
+        counters = snapshot["counters"]
+        assert counters["vehicles.simulated"] == len(outcomes) == len(specs + copies)
+        assert "simulate.memo_hits" not in counters
+
+    def test_worker_module_has_no_memo(self):
+        assert not any(
+            isinstance(value, OutcomeMemo) for value in vars(runner).values()
+        )
+
+
+def _split_run(memo, chunks):
+    """Split every chunk first, then join each with real kernel runs.
+
+    Returns the joined outcomes and the number of kernel runs -- the
+    parallel path's order of operations with every chunk in flight at
+    once.
+    """
+    in_flight = {}
+    limit = runner.DEFAULT_FLEET_INBOX_LIMIT
+    planned = [memo.split(chunk, limit, in_flight) for chunk in chunks]
+    outcomes, kernel_runs = [], 0
+    for plan, misses in planned:
+        kernel_runs += len(misses)
+        ran = [simulate_vehicle(spec) for spec in misses]
+        outcomes.extend(memo.join(plan, ran, in_flight))
+    assert in_flight == {}
+    return outcomes, kernel_runs
+
+
+class TestSplitJoin:
+    """The parent-side half of the memo: plan a chunk, join it back."""
+
+    def test_misses_are_the_first_occurrence_of_each_key(self):
         specs = []
         for i in range(9):
             if i % 3 == 2:
@@ -232,43 +255,58 @@ class TestWorkerChunks:
             else:
                 actions = [VehicleAction(0.0, "drive", {"accel": 40 + 10 * (i % 2)})]
             specs.append(_spec(i, actions, seed=100 + i))
-        outcomes, _ = runner._simulate_chunk(specs)
+        _, misses = OutcomeMemo().split(specs, runner.DEFAULT_FLEET_INBOX_LIMIT, {})
+        assert [spec.vehicle_id for spec in misses] == [0, 1, 2, 5, 8]
+        outcomes, kernel_runs = _split_run(OutcomeMemo(), [specs])
+        assert kernel_runs == 5
         assert _tuples(outcomes) == _object_tuples(specs)
         assert [o.memo_hit for o in outcomes] == [
             False, False, False, True, True, False, True, True, False
         ]
 
-    def test_memo_is_shared_across_chunks(self):
+    def test_memo_is_shared_across_chunks_and_streams(self):
         specs, copies = _reseeded_fleet("baseline_cruise")
-        runner._simulate_chunk(specs)
-        outcomes, _ = runner._simulate_chunk(copies)
+        memo = OutcomeMemo()
+        _split_run(memo, [specs])
+        plan, misses = memo.split(copies, runner.DEFAULT_FLEET_INBOX_LIMIT, {})
+        assert misses == []
+        outcomes = list(memo.join(plan, [], {}))
         assert all(o.memo_hit for o in outcomes)
         assert _tuples(outcomes) == _object_tuples(copies)
 
-    @pytest.mark.parametrize(
-        "trace_level, compile_tables",
-        [("full", True), ("ring", True), ("counters", False)],
-    )
-    def test_chunks_outside_the_regime_bypass_the_memo(
-        self, trace_level, compile_tables
-    ):
+    def test_duplicates_of_an_in_flight_key_are_served_from_its_first_run(self):
         specs, copies = _reseeded_fleet("baseline_cruise")
-        outcomes, _ = runner._simulate_chunk(
-            specs + copies, trace_level=trace_level, compile_tables=compile_tables
-        )
-        assert not any(o.memo_hit for o in outcomes)
+        # Both chunks are split before either is joined: the copies find
+        # every key in flight, so their chunk has nothing to run.
+        outcomes, kernel_runs = _split_run(OutcomeMemo(), [specs, copies])
+        distinct = {OutcomeMemo.key(s, runner.DEFAULT_FLEET_INBOX_LIMIT) for s in specs}
+        assert kernel_runs == len(distinct)
         assert _tuples(outcomes) == _object_tuples(specs + copies)
-        # Nothing was stored either: a memo-regime chunk starts cold.
-        outcomes, _ = runner._simulate_chunk(specs)
-        assert not outcomes[0].memo_hit
+        assert all(o.memo_hit for o in outcomes[len(specs):])
 
-    def test_chunk_snapshot_splits_kernel_runs_from_memo_hits(self):
+    def test_eviction_cannot_strand_an_in_flight_duplicate(self, monkeypatch):
+        monkeypatch.setattr(runner, "MEMO_LIMIT", 1)
+        first = [
+            _spec(i, [VehicleAction(0.0, "drive", {"accel": 40 + i})]) for i in range(3)
+        ]
+        again = [dataclasses.replace(spec, vehicle_id=3 + i) for i, spec in enumerate(first)]
+        # Joining the first chunk stores three keys into a one-entry
+        # memo; the second chunk was planned against their cells.
+        outcomes, kernel_runs = _split_run(OutcomeMemo(), [first, again])
+        assert kernel_runs == 3
+        assert _tuples(outcomes) == _object_tuples(first + again)
+
+    def test_the_memo_pins_no_outcome_it_hands_out(self):
         specs, copies = _reseeded_fleet("baseline_cruise")
-        outcomes, snapshot = runner._simulate_chunk(specs + copies, telemetry=True)
-        counters = snapshot["counters"]
-        hits = sum(o.memo_hit for o in outcomes)
-        assert counters["simulate.memo_hits"] == hits > 0
-        assert counters["vehicles.simulated"] + hits == len(specs + copies)
+        memo = OutcomeMemo()
+        limit = runner.DEFAULT_FLEET_INBOX_LIMIT
+        handed = _split_run(memo, [specs])[0]
+        handed += memo.outcomes(copies, simulate_vehicle, limit)
+        handed += memo.outcomes(specs, simulate_vehicle, None)  # inline misses
+        refs = [weakref.ref(outcome) for outcome in handed]
+        del handed
+        gc.collect()
+        assert all(ref() is None for ref in refs)
 
 
 class TestBound:
@@ -300,6 +338,25 @@ class TestRegime:
         with FleetSession(config) as session:
             result = session.run()
         assert result.kernel_runs == result.vehicles == 24
+
+    @pytest.mark.parametrize(
+        "trace_level, compile_tables",
+        [("full", True), ("ring", True), ("counters", False)],
+    )
+    def test_parallel_runs_outside_the_regime_bypass_the_memo(
+        self, trace_level, compile_tables
+    ):
+        config = ExperimentConfig(
+            scenario="baseline_cruise", vehicles=24, seed=2018, workers=2,
+            trace_level=trace_level, compile_tables=compile_tables,
+        )
+        with FleetSession(config) as session:
+            result = session.run()
+            assert result.kernel_runs == result.vehicles == 24
+            # Nothing was stored either: a memo-regime run starts cold.
+            cold = session.run_config(config.with_overrides(trace_level="counters",
+                                                            compile_tables=True))
+        assert cold.kernel_runs > 0
 
 
 class TestEscapeParameters:
@@ -458,8 +515,8 @@ class TestSessions:
     def test_fingerprints_equal_faithful_on_every_scenario(
         self, faithful_fingerprints, workers, transfer
     ):
-        # One session runs every scenario, so its memos (inline or per
-        # worker) carry entries from one scenario into the next.
+        # One session runs every scenario, so its memo carries entries
+        # from one scenario into the next.
         base = ExperimentConfig(
             scenario=SCENARIO_NAMES[0],
             vehicles=24,
@@ -505,23 +562,6 @@ class TestSessions:
         assert simulated + hits == 48
         assert result.kernel_runs == simulated
 
-    def test_forked_workers_start_with_an_empty_memo(self):
-        config = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=24, seed=2018, workers=2
-        )
-        with FleetSession(config) as session:
-            specs = session.vehicle_specs()
-        distinct = {OutcomeMemo.key(spec, config.inbox_limit) for spec in specs}
-        # Fill this process's worker memo with the whole fleet first.
-        runner._simulate_chunk(specs)
-        try:
-            with FleetSession(config, telemetry=True) as session:
-                session.run()
-                snapshot = session.metrics_snapshot()
-        finally:
-            runner._WORKER_MEMO.clear()
-        assert snapshot.counter("vehicles.simulated") >= len(distinct)
-
     def test_fuzz_probe_runs_one_kernel_per_distinct_key(self, faithful_fingerprints):
         config = ExperimentConfig(scenario="fuzz_probe", vehicles=24, seed=2018)
         with FleetSession(config) as session:
@@ -562,6 +602,99 @@ class TestSessions:
             result = session.run()
         assert result.kernel_runs == reference.kernel_runs > 0
         assert result.fingerprint() == reference.fingerprint()
+
+
+#: A repeating fleet: 48 vehicles over 36 distinct behaviour keys.
+REPEATING = dict(scenario="baseline_cruise", vehicles=48, seed=2018)
+
+
+def _first_occurrences_per_chunk(config):
+    """How many never-seen keys each of the config's chunks holds."""
+    with FleetSession(config) as session:
+        specs = session.vehicle_specs()
+    size = config.effective_chunk_size()
+    seen, counts = set(), []
+    for start in range(0, len(specs), size):
+        keys = {OutcomeMemo.key(spec, config.inbox_limit) for spec in specs[start:start + size]}
+        counts.append(len(keys - seen))
+        seen |= keys
+    return counts
+
+
+@pytest.fixture(scope="module")
+def repeating():
+    """The repeating fleet's faithful fingerprint and distinct key count."""
+    config = ExperimentConfig(**REPEATING)
+    return (
+        _fingerprint(ExperimentConfig.faithful(**REPEATING)),
+        sum(_first_occurrences_per_chunk(config)),
+    )
+
+
+class TestOneMemoPerSession:
+    """Parallel runs consult the session's memo before dispatch, so the
+    kernel runs are one per distinct key at any worker count."""
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        workers=st.sampled_from([1, 2, 4]),
+        transfer=st.sampled_from(["shm", "pickle"]),
+        chunk_size=st.sampled_from([4, None]),
+    )
+    def test_kernel_runs_and_fingerprint_are_invariant_under_execution_plans(
+        self, repeating, workers, transfer, chunk_size
+    ):
+        fingerprint, distinct = repeating
+        config = ExperimentConfig(
+            **REPEATING, workers=workers, spec_transfer=transfer, chunk_size=chunk_size
+        )
+        with FleetSession(config) as session:
+            result = session.run()
+        assert result.kernel_runs == distinct
+        assert result.fingerprint() == fingerprint
+
+    def test_eviction_cannot_break_a_parallel_stream(self, repeating, monkeypatch):
+        monkeypatch.setattr(runner, "MEMO_LIMIT", 1)
+        config = ExperimentConfig(**REPEATING, workers=2, chunk_size=4)
+        with FleetSession(config) as session:
+            result = session.run()
+        assert result.fingerprint() == repeating[0]
+
+    def test_chunks_with_nothing_to_run_never_reach_a_worker(self):
+        config = ExperimentConfig(
+            scenario="baseline_cruise", vehicles=48, seed=7, workers=2, chunk_size=2
+        )
+        counts = _first_occurrences_per_chunk(config)
+        assert 0 in counts
+        with FleetSession(config, telemetry=True) as session:
+            session.run()
+            snapshot = session.metrics_snapshot()
+        simulated = snapshot.histogram("phase.simulate.wall_seconds")
+        assert simulated.count == sum(1 for count in counts if count)
+        assert snapshot.counter("vehicles.simulated") == sum(counts)
+        assert snapshot.counter("simulate.memo_hits") == 48 - sum(counts)
+
+    @pytest.mark.parametrize(
+        "overrides, recovery",
+        [
+            (dict(retry=2), "resilience.retries"),
+            (dict(retry=0, degrade=True), "resilience.degraded_chunks"),
+        ],
+        ids=["retry", "degrade"],
+    )
+    def test_a_failed_chunk_still_runs_each_key_once(
+        self, repeating, overrides, recovery
+    ):
+        fingerprint, distinct = repeating
+        config = ExperimentConfig(**REPEATING, workers=2, chunk_size=4, **overrides)
+        plan = FaultPlan.parse("chunk_error:chunk=0")
+        with FleetSession(config, telemetry=True, fault_plan=plan) as session:
+            result = session.run()
+            snapshot = session.metrics_snapshot()
+        assert snapshot.counter("resilience.chunk_failures") == 1
+        assert snapshot.counter(recovery) == 1
+        assert result.kernel_runs == distinct
+        assert result.fingerprint() == fingerprint
 
 
 def test_importing_the_api_does_not_import_numpy():

@@ -25,6 +25,7 @@ from repro.fleet.resilience import (
     RetryPolicy,
     apply_worker_fault,
 )
+from repro.fleet.runner import OutcomeMemo
 from repro.fleet.transfer import SHM_AVAILABLE, shm_segment_names
 from repro.obs import clock
 
@@ -315,6 +316,44 @@ class TestShmDrop:
         assert counters["resilience.chunk_failures"] == 1
         assert counters["resilience.retries"] == 1
         assert result.fingerprint() == _fingerprint(config)
+
+
+def _chunk_with_nothing_to_run(config: ExperimentConfig) -> int:
+    """Index of the first chunk whose every key an earlier chunk holds."""
+    with FleetSession(config) as session:
+        specs = session.vehicle_specs()
+    size, seen = config.chunk_size, set()
+    for start in range(0, len(specs), size):
+        keys = {OutcomeMemo.key(spec, config.inbox_limit) for spec in specs[start:start + size]}
+        if keys <= seen:
+            return start // size
+        seen |= keys
+    raise AssertionError("every chunk holds a first occurrence")
+
+
+class TestChunksWithNothingToRun:
+    """The session's memo serves every vehicle of such a chunk, so it is
+    never submitted: worker-side faults aimed at it cannot fire, while
+    consumer-side ones still do."""
+
+    def test_worker_fault_on_an_all_duplicate_chunk_cannot_fire(self):
+        config = _config(chunk_size=2)
+        chunk = _chunk_with_nothing_to_run(config)
+        plan = FaultPlan.parse(f"chunk_error:chunk={chunk},attempt=any")
+        with FleetSession(config, fault_plan=plan, telemetry=True) as session:
+            result = session.run()
+            snapshot = session.metrics_snapshot()
+        assert snapshot.counter("resilience.chunk_failures") == 0
+        assert result.fingerprint() == _fingerprint(config)
+
+    def test_consumer_stall_still_fires_on_it(self, monkeypatch):
+        config = _config(chunk_size=2)
+        chunk = _chunk_with_nothing_to_run(config)
+        slept = []
+        monkeypatch.setattr(clock, "sleep", slept.append)
+        plan = FaultPlan.parse(f"consumer_stall:chunk={chunk},seconds=0.25")
+        assert _fingerprint(config, plan) == _fingerprint(config)
+        assert slept == [0.25]
 
 
 @pytest.mark.skipif(not SHM_AVAILABLE, reason="POSIX shared memory unavailable")
