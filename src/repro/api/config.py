@@ -254,7 +254,7 @@ class ExperimentConfig:
         *total* (defaulting to the config's fleet size -- ``run_specs``
         passes its own spec count) over ``4 * workers``, at least 8.
         The single authority for the rule: the session's submission
-        loop and the transfer benchmark both derive from here.
+        loop derives its chunks from here.
         """
         if self.chunk_size is not None:
             return self.chunk_size

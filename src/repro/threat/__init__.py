@@ -9,6 +9,8 @@ process that the paper (Section II, Fig. 1) builds on:
 * :mod:`repro.threat.entry_points` -- entry points (attack surfaces).
 * :mod:`repro.threat.threats` -- threats and threat catalogues.
 * :mod:`repro.threat.attack_tree` -- attack trees over threats.
+* :mod:`repro.threat.graph` -- the ordered acyclic graph behind asset
+  dependencies and attack trees.
 * :mod:`repro.threat.countermeasures` -- countermeasures (guidelines,
   policies, hardware/software mechanisms).
 * :mod:`repro.threat.risk` -- risk assessment and prioritisation.

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
-import networkx as nx
+from repro.threat.graph import OrderedDAG
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class Criticality(Enum):
@@ -99,7 +102,7 @@ class AssetRegistry:
 
     def __init__(self, assets: Iterable[Asset] = ()) -> None:
         self._assets: dict[str, Asset] = {}
-        self._graph = nx.DiGraph()
+        self._graph = OrderedDAG()
         for asset in assets:
             self.add(asset)
 
@@ -141,9 +144,7 @@ class AssetRegistry:
         self._require(dependency)
         if dependent == dependency:
             raise ValueError("an asset cannot depend on itself")
-        self._graph.add_edge(dependent, dependency)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(dependent, dependency)
+        if not self._graph.add_edge(dependent, dependency):
             raise ValueError(
                 f"dependency {dependent!r} -> {dependency!r} would create a cycle"
             )
@@ -179,7 +180,7 @@ class AssetRegistry:
     def transitive_dependencies(self, name: str) -> list[Asset]:
         """All assets that *name* transitively depends on."""
         self._require(name)
-        reachable = nx.descendants(self._graph, name)
+        reachable = self._graph.descendants(name)
         return [self._assets[n] for n in sorted(reachable)]
 
     def impact_set(self, name: str) -> list[Asset]:
@@ -189,12 +190,21 @@ class AssetRegistry:
         on the compromised asset, directly or indirectly.
         """
         self._require(name)
-        affected = nx.ancestors(self._graph, name)
+        affected = self._graph.ancestors(name)
         return [self._assets[n] for n in sorted(affected)]
 
     def dependency_graph(self) -> nx.DiGraph:
-        """A copy of the underlying dependency graph (node = asset name)."""
-        return self._graph.copy()
+        """The dependency graph as a new networkx ``DiGraph`` (node = asset name)."""
+        import networkx as nx  # only callers that want a networkx graph pay for it
+
+        graph = nx.DiGraph()
+        graph.add_nodes_from(self._graph.nodes())
+        graph.add_edges_from(
+            (name, dependency)
+            for name in self._graph.nodes()
+            for dependency in self._graph.successors(name)
+        )
+        return graph
 
     # -- internals ------------------------------------------------------------
 

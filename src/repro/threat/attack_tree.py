@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
-import networkx as nx
+from repro.threat.graph import OrderedDAG
 
 
 class NodeType(Enum):
@@ -70,10 +70,7 @@ class AttackTree:
     """
 
     def __init__(self, root: AttackTreeNode) -> None:
-        if root.node_type == NodeType.LEAF:
-            # A single-action attack is allowed: the root is its own leaf.
-            pass
-        self._graph = nx.DiGraph()
+        self._graph = OrderedDAG()
         self._nodes: dict[str, AttackTreeNode] = {}
         self._root = root
         self._add_node(root)
@@ -95,9 +92,7 @@ class AttackTree:
         if parent_node.node_type == NodeType.LEAF:
             raise ValueError(f"cannot attach children to leaf node {parent!r}")
         self._add_node(child)
-        self._graph.add_edge(parent, child.name)
-        if not nx.is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(parent, child.name)
+        if not self._graph.add_edge(parent, child.name):
             raise ValueError(f"edge {parent!r} -> {child.name!r} would create a cycle")
         return child
 
@@ -122,11 +117,7 @@ class AttackTree:
 
     def leaves(self) -> list[AttackTreeNode]:
         """All leaf nodes (concrete attacker actions)."""
-        return [
-            self._nodes[n]
-            for n in self._graph.nodes
-            if self._graph.out_degree(n) == 0
-        ]
+        return [self._nodes[n] for n in self._graph.nodes() if not self._graph.successors(n)]
 
     def __len__(self) -> int:
         return len(self._nodes)
@@ -213,12 +204,16 @@ class AttackTree:
 
         Used to quantify how much a countermeasure (e.g. an HPE policy
         blocking CAN spoofing) reduces the feasibility of a composite
-        attack goal.
+        attack goal.  Only leaves can be blocked: naming an AND/OR node
+        with children raises ``ValueError``, an unknown name ``KeyError``.
         """
         blocked = set(blocked_leaves)
         unknown = blocked - set(self._nodes)
         if unknown:
             raise KeyError(f"unknown leaf nodes: {sorted(unknown)}")
+        internal = sorted(name for name in blocked if self._graph.successors(name))
+        if internal:
+            raise ValueError(f"only leaf nodes can be blocked, not {internal}")
         return self._feasibility_with_block(self._root.name, blocked)
 
     def _feasibility_with_block(self, name: str, blocked: set[str]) -> float:

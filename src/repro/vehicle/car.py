@@ -11,9 +11,7 @@ enforcement-agnostic.
 
 from __future__ import annotations
 
-from typing import Callable
-
-import networkx as nx
+from typing import TYPE_CHECKING, Callable
 
 from repro.can.bus import CANBus
 from repro.can.node import PolicyHook
@@ -43,6 +41,9 @@ from repro.vehicle.modes import CarMode, ModeManager
 from repro.vehicle.safety import SafetyCriticalController
 from repro.vehicle.sensors import SensorCluster
 from repro.vehicle.telematics import TelematicsUnit
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class ConnectedCar:
@@ -243,6 +244,8 @@ class ConnectedCar:
         the bus node.  External interfaces (cellular, WiFi, OBD) hang off
         the telematics unit and gateway.
         """
+        import networkx as nx  # only the Fig. 2 artefact needs a graph library
+
         graph = nx.Graph()
         bus_node = self.bus.name
         graph.add_node(bus_node, kind="bus")

@@ -697,8 +697,28 @@ class TestOneMemoPerSession:
         assert result.fingerprint() == fingerprint
 
 
-def test_importing_the_api_does_not_import_numpy():
-    code = "import sys, repro.api; print('numpy' in sys.modules)"
+@pytest.mark.parametrize("module", ["numpy", "networkx"])
+def test_fleet_processes_never_import(module):
+    """Neither the parent nor a worker of a fleet session loads *module*.
+
+    numpy left with the lockstep backend.  networkx is needed only by
+    ``ConnectedCar.topology()`` and ``AssetRegistry.dependency_graph()``,
+    which no fleet calls.
+    """
+    loaded = f"{module!r} in __import__('sys').modules"
+    code = f"""
+import dataclasses
+from repro.api import ExperimentConfig, FleetSession
+
+inline = ExperimentConfig(scenario="mixed_ev_dos", vehicles=12, seed=3)
+with FleetSession(inline) as session:
+    session.run()
+parallel = dataclasses.replace(inline, workers=2)
+with FleetSession(parallel) as session:
+    assert session.run().kernel_runs > 0
+    in_worker = session._mp_pools[2].apply(eval, ({loaded!r},))
+print({loaded}, in_worker)
+"""
     out = subprocess.run(
         [sys.executable, "-c", code],
         env={"PYTHONPATH": str(SRC)},
@@ -706,4 +726,4 @@ def test_importing_the_api_does_not_import_numpy():
         text=True,
         check=True,
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]

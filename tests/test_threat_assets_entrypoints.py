@@ -1,6 +1,9 @@
 """Tests for assets, the asset registry and entry points."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.threat.assets import Asset, AssetCategory, AssetRegistry, Criticality
 from repro.threat.entry_points import (
@@ -103,6 +106,44 @@ class TestAssetRegistry:
         graph = registry.dependency_graph()
         graph.remove_edge("EV-ECU", "Sensors")
         assert [a.name for a in registry.dependencies_of("EV-ECU")] == ["Sensors"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        edges=st.lists(
+            st.tuples(st.sampled_from("ABCDEF"), st.sampled_from("ABCDEF")), max_size=30
+        )
+    )
+    def test_matches_the_networkx_reference(self, edges):
+        """Edge by edge, the registry accepts exactly the edges networkx's
+        DAG check accepts, and every query answers in the reference's order."""
+        registry = AssetRegistry(Asset(name) for name in "ABCDEF")
+        reference = nx.DiGraph()
+        reference.add_nodes_from("ABCDEF")
+        for dependent, dependency in edges:
+            reference.add_edge(dependent, dependency)
+            acyclic = nx.is_directed_acyclic_graph(reference)
+            if not acyclic:
+                reference.remove_edge(dependent, dependency)
+            try:
+                registry.add_dependency(dependent, dependency)
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == acyclic, (dependent, dependency)
+
+        def names(assets):
+            return [asset.name for asset in assets]
+
+        for name in "ABCDEF":
+            assert names(registry.dependencies_of(name)) == list(reference.successors(name))
+            assert names(registry.dependents_of(name)) == list(reference.predecessors(name))
+            assert names(registry.transitive_dependencies(name)) == sorted(
+                nx.descendants(reference, name)
+            )
+            assert names(registry.impact_set(name)) == sorted(nx.ancestors(reference, name))
+        exported = registry.dependency_graph()
+        assert list(exported.nodes) == list(reference.nodes)
+        assert list(exported.edges) == list(reference.edges)
 
 
 class TestEntryPoint:

@@ -1,8 +1,13 @@
 """Tests for attack trees."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.threat.attack_tree import AttackTree, AttackTreeNode, NodeType
+
+NAMES = ["n0", "n1", "n2", "n3", "n4", "n5"]
 
 
 def build_example_tree() -> AttackTree:
@@ -62,6 +67,43 @@ class TestConstruction:
         with pytest.raises(ValueError):
             AttackTreeNode("  ")
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        leaf_names=st.sets(st.sampled_from(NAMES[1:])),
+        edges=st.lists(
+            st.tuples(st.sampled_from(NAMES), st.sampled_from(NAMES)), max_size=30
+        ),
+    )
+    def test_matches_the_networkx_reference(self, leaf_names, edges):
+        """Edge by edge, the tree accepts exactly the edges networkx's DAG
+        check accepts, and children and leaves come in the reference's order."""
+        nodes = {
+            name: AttackTreeNode(name, NodeType.LEAF if name in leaf_names else NodeType.OR)
+            for name in NAMES
+        }
+        tree = AttackTree(nodes["n0"])
+        reference = nx.DiGraph()
+        reference.add_node("n0")
+        for parent, child in edges:
+            if parent not in tree or parent in leaf_names:
+                continue  # rejected before any edge is considered
+            reference.add_edge(parent, child)
+            acyclic = nx.is_directed_acyclic_graph(reference)
+            if not acyclic:
+                reference.remove_edge(parent, child)
+            try:
+                tree.add_child(parent, nodes[child])
+                accepted = True
+            except ValueError:
+                accepted = False
+            assert accepted == acyclic, (parent, child)
+        assert len(tree) == reference.number_of_nodes()
+        for name in reference:
+            children = [node.name for node in tree.children(name)]
+            assert children == list(reference.successors(name))
+        sinks = [name for name in reference if reference.out_degree(name) == 0]
+        assert [leaf.name for leaf in tree.leaves()] == sinks
+
 
 class TestAnalysis:
     def test_goal_feasibility(self):
@@ -97,6 +139,18 @@ class TestAnalysis:
     def test_mitigated_feasibility_unknown_leaf_rejected(self):
         with pytest.raises(KeyError):
             build_example_tree().mitigated_feasibility(["nope"])
+
+    def test_mitigated_feasibility_rejects_internal_nodes(self):
+        tree = AttackTree(AttackTreeNode("goal", NodeType.AND))
+        tree.add_child("goal", AttackTreeNode("sub", NodeType.OR))
+        tree.add_child("sub", AttackTreeNode("a", feasibility=0.5))
+        tree.add_child("sub", AttackTreeNode("b", feasibility=0.5))
+        assert tree.goal_feasibility() == pytest.approx(0.75)
+        with pytest.raises(ValueError, match=r"\['goal', 'sub'\]"):
+            tree.mitigated_feasibility(["a", "sub", "goal"])
+        with pytest.raises(KeyError):
+            tree.mitigated_feasibility(["sub", "nope"])
+        assert tree.mitigated_feasibility(["a", "b"]) == pytest.approx(0.0)
 
     def test_single_leaf_tree(self):
         tree = AttackTree(AttackTreeNode("simple", feasibility=0.3, cost=5.0))
