@@ -28,8 +28,10 @@ from repro.api import ExperimentConfig, FleetSession
 from repro.service import ExperimentService, ServiceClient
 
 # mixed_ev_dos is seed-sensitive, so the two seeds below are genuinely
-# different experiments -- only the repeated (scenario, vehicles, seed)
-# triple hashes to the same config and hits the cache.
+# different experiments.  The config hash covers only the experiment
+# fields (scenario, parameters, vehicles, seed, first vehicle id,
+# enforcement), so resubmitting CONFIG -- or any preset of it -- hits
+# the cache.
 CONFIG = ExperimentConfig(scenario="mixed_ev_dos", vehicles=40, seed=2018)
 DISTINCT = ExperimentConfig(scenario="mixed_ev_dos", vehicles=40, seed=2019)
 

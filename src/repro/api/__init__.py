@@ -3,10 +3,12 @@
 Everything a fleet experiment needs comes through three names:
 
 * :class:`~repro.api.config.ExperimentConfig` -- one frozen, validated,
-  JSON-round-trippable value capturing scenario, fleet size, seed,
-  enforcement override, trace retention, worker count and the
-  pool/compiled toggles, with named presets (``debug`` / ``throughput``
-  / ``faithful``).
+  JSON-round-trippable value: the six experiment fields that decide the
+  fleet fingerprint and the config hash (scenario, scenario parameters,
+  fleet size, seed, first vehicle id, enforcement override) plus the
+  execution settings (trace retention, workers, chunking, transfer, the
+  pool/compiled toggles, resilience), with named presets (``debug`` /
+  ``throughput`` / ``faithful``) of those settings.
 * :class:`~repro.api.session.FleetSession` -- the façade owning the
   builder, car pools and worker processes: ``run()`` for the aggregate,
   ``iter_outcomes()`` to stream per-vehicle outcomes in id order with
@@ -14,9 +16,6 @@ Everything a fleet experiment needs comes through three names:
 * ``python -m repro`` (:mod:`repro.api.cli`) -- the same config objects
   driven from the shell, so scripted and interactive runs reproduce the
   same fleet fingerprints.
-
-The legacy :class:`~repro.fleet.runner.FleetRunner` survives as a thin
-deprecation shim over this layer.
 """
 
 from repro.api.config import PRESETS, ExperimentConfig

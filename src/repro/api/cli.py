@@ -31,6 +31,9 @@ feeding ``config`` back through ``--config`` (or
 merged parent + worker snapshot (``--metrics-format`` picks JSON or
 Prometheus text) -- a runtime option, not a config field, so the
 fingerprint is identical with or without it.
+
+Only the ``service`` and ``jobs`` handlers import :mod:`repro.service`
+(SQLite, ``http.server``), so ``fleet run`` never loads it.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import argparse
 import json
 import signal
 import sys
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro.api.config import PRESETS, ExperimentConfig
 from repro.api.session import FleetSession
@@ -53,9 +56,9 @@ from repro.obs.export import (
     to_prometheus,
     write_snapshot,
 )
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.server import ExperimentService
-from repro.service.store import JOB_STATES, ServiceStore
+
+if TYPE_CHECKING:  # pragma: no cover - the handlers import it on use
+    from repro.service.client import ServiceClient
 
 PROG = "repro"
 
@@ -388,27 +391,27 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="--wait deadline (client-side; the job keeps running)",
     )
-    submit.set_defaults(func=_cmd_jobs_submit)
+    submit.set_defaults(func=_client_command(_cmd_jobs_submit))
 
     jobs_list = jobs_commands.add_parser("list", help="list jobs, newest first")
     jobs_list.add_argument("--url", default=DEFAULT_SERVICE_URL)
-    jobs_list.add_argument("--state", choices=list(JOB_STATES), default=None)
+    jobs_list.add_argument("--state", default=None, help="only jobs in this job state")
     jobs_list.add_argument("--limit", type=int, default=100)
     jobs_list.add_argument("--json", dest="as_json", action="store_true")
-    jobs_list.set_defaults(func=_cmd_jobs_list)
+    jobs_list.set_defaults(func=_client_command(_cmd_jobs_list))
 
     jobs_show = jobs_commands.add_parser("show", help="show one job in detail")
     jobs_show.add_argument("job_id", type=int)
     jobs_show.add_argument("--url", default=DEFAULT_SERVICE_URL)
     jobs_show.add_argument("--json", dest="as_json", action="store_true")
-    jobs_show.set_defaults(func=_cmd_jobs_show)
+    jobs_show.set_defaults(func=_client_command(_cmd_jobs_show))
 
     jobs_cancel = jobs_commands.add_parser(
         "cancel", help="cancel a queued or leased job"
     )
     jobs_cancel.add_argument("job_id", type=int)
     jobs_cancel.add_argument("--url", default=DEFAULT_SERVICE_URL)
-    jobs_cancel.set_defaults(func=_cmd_jobs_cancel)
+    jobs_cancel.set_defaults(func=_client_command(_cmd_jobs_cancel))
 
     jobs_gc = jobs_commands.add_parser(
         "gc", help="delete old terminal jobs straight from the store"
@@ -614,6 +617,8 @@ def _cmd_config_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_service_start(args: argparse.Namespace) -> int:
+    from repro.service.server import ExperimentService
+
     service = ExperimentService(
         args.db,
         host=args.host,
@@ -659,9 +664,28 @@ def _job_lines(payload: dict) -> list[str]:
     return lines
 
 
-def _cmd_jobs_submit(args: argparse.Namespace) -> int:
+def _client_command(handler):
+    """A ``jobs`` verb that talks to ``--url``: *handler* gets the client.
+
+    A :class:`~repro.service.client.ServiceError` (the service refused
+    or is unreachable) is a client-side problem with a clean one-line
+    diagnosis: exit code 2.
+    """
+
+    def run(args: argparse.Namespace) -> int:
+        from repro.service.client import ServiceClient, ServiceError
+
+        try:
+            return handler(args, ServiceClient(args.url))
+        except ServiceError as error:
+            print(f"{PROG}: error: {error}", file=sys.stderr)
+            return 2
+
+    return run
+
+
+def _cmd_jobs_submit(args: argparse.Namespace, client: ServiceClient) -> int:
     config = _resolve_config(args)
-    client = ServiceClient(args.url)
     payload = client.submit(
         config, priority=args.priority, max_attempts=args.max_attempts
     )
@@ -676,8 +700,12 @@ def _cmd_jobs_submit(args: argparse.Namespace) -> int:
     return 0 if final["state"] == "done" else 3
 
 
-def _cmd_jobs_list(args: argparse.Namespace) -> int:
-    jobs = ServiceClient(args.url).jobs(state=args.state, limit=args.limit)
+def _cmd_jobs_list(args: argparse.Namespace, client: ServiceClient) -> int:
+    from repro.service.store import JOB_STATES
+
+    if args.state is not None and args.state not in JOB_STATES:
+        raise ValueError(f"unknown job state {args.state!r}; known: {JOB_STATES}")
+    jobs = client.jobs(state=args.state, limit=args.limit)
     if args.as_json:
         print(json.dumps(jobs, indent=2, sort_keys=True))
         return 0
@@ -693,8 +721,8 @@ def _cmd_jobs_list(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_jobs_show(args: argparse.Namespace) -> int:
-    payload = ServiceClient(args.url).job(args.job_id)
+def _cmd_jobs_show(args: argparse.Namespace, client: ServiceClient) -> int:
+    payload = client.job(args.job_id)
     if args.as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
         return 0
@@ -703,13 +731,15 @@ def _cmd_jobs_show(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_jobs_cancel(args: argparse.Namespace) -> int:
-    payload = ServiceClient(args.url).cancel(args.job_id)
+def _cmd_jobs_cancel(args: argparse.Namespace, client: ServiceClient) -> int:
+    payload = client.cancel(args.job_id)
     print(f"cancelled      : job {payload['id']}")
     return 0
 
 
 def _cmd_jobs_gc(args: argparse.Namespace) -> int:
+    from repro.service.store import ServiceStore
+
     with ServiceStore(args.db) as store:
         stats = store.cache_stats()
         deleted = store.gc(
@@ -741,11 +771,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         # diagnostic line, not a raw multiprocessing traceback.
         print(f"{PROG}: error: {error}", file=sys.stderr)
         return 3
-    except ServiceError as error:
-        # The service refused or is unreachable: a client-side problem
-        # with a clean one-line diagnosis.
-        print(f"{PROG}: error: {error}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, OSError) as error:
         message = error.args[0] if error.args else error
         print(f"{PROG}: error: {message}", file=sys.stderr)

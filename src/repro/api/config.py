@@ -2,16 +2,20 @@
 
 The paper's thesis is that *policy is data*; the experiment layer
 applies the same idea to the experiments themselves.  An
-:class:`ExperimentConfig` captures everything that determines a fleet
-run -- scenario, fleet size, seed, enforcement override, trace
-retention, worker count and the pool/compiled-table toggles -- as one
-frozen, validated, JSON-round-trippable value.  A run is then a pure
-function of its config: the same config reproduces the same fleet
-fingerprint from Python (:class:`~repro.api.session.FleetSession`), from
-a sweep (:meth:`~repro.api.session.FleetSession.run_matrix`) or from the
-shell (``python -m repro fleet run``, see :meth:`ExperimentConfig.cli_arguments`).
+:class:`ExperimentConfig` is one frozen, validated, JSON-round-trippable
+value.  Six of its fields define the experiment (:data:`EXPERIMENT_FIELDS`:
+``scenario``, ``scenario_parameters``, ``vehicles``, ``seed``,
+``first_vehicle_id`` and ``enforcement``).  The other ten say how to
+execute it -- trace retention, inbox bound, workers, chunking, spec
+transfer, the pool/compiled-table toggles and the retry/timeout/degrade
+posture -- and move time and memory around, never results.  The fleet
+fingerprint is a function of the experiment alone, from Python
+(:class:`~repro.api.session.FleetSession`), from a sweep
+(:meth:`~repro.api.session.FleetSession.run_matrix`) or from the shell
+(``python -m repro fleet run``, see :meth:`ExperimentConfig.cli_arguments`),
+and so is :meth:`ExperimentConfig.config_hash`.
 
-Named presets bundle the three configurations everything else is
+Named presets bundle the three execution settings everything else is
 described in terms of:
 
 * :meth:`ExperimentConfig.debug` -- single worker, full traces,
@@ -21,12 +25,11 @@ described in terms of:
 * :meth:`ExperimentConfig.faithful` -- the pre-optimisation object
   decision path the fast path is validated against.
 
-All three produce bit-identical fleet fingerprints for the same
-(scenario, vehicles, seed) -- the presets move time and memory around,
-never results (the trace-level, pooled-reuse and compiled-table
-equivalence suites prove it).  The default and ``throughput()`` configs
-also serve repeated behaviour keys from the outcome memo
-(:class:`~repro.fleet.runner.OutcomeMemo`); ``debug()`` and
+All three produce bit-identical fleet fingerprints and one config hash
+for the same experiment (the trace-level, pooled-reuse and
+compiled-table equivalence suites prove it).  The default and
+``throughput()`` configs also serve repeated behaviour keys from the
+outcome memo (:class:`~repro.fleet.runner.OutcomeMemo`); ``debug()`` and
 ``faithful()`` simulate every vehicle.
 """
 
@@ -44,23 +47,17 @@ from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT
 from repro.fleet.scenarios import ENFORCEMENT_LABELS, _check_keys, _freeze
 from repro.fleet.transfer import SPEC_TRANSFER_MODES
 
-#: ``from_dict`` key sets (everything else is rejected, loudly).
-_REQUIRED_KEYS = ("scenario", "vehicles")
-_OPTIONAL_KEYS = (
+#: The fields that define an experiment: they decide the spec stream, so
+#: every outcome and the fleet fingerprint are functions of them alone.
+#: :meth:`ExperimentConfig.config_hash` digests exactly these; every other
+#: field says how the experiment is executed.
+EXPERIMENT_FIELDS = (
+    "scenario",
+    "scenario_parameters",
+    "vehicles",
     "seed",
     "first_vehicle_id",
     "enforcement",
-    "scenario_parameters",
-    "trace_level",
-    "inbox_limit",
-    "workers",
-    "chunk_size",
-    "spec_transfer",
-    "reuse_cars",
-    "compile_tables",
-    "retry",
-    "chunk_timeout_s",
-    "degrade",
 )
 
 #: Keys older configs carried that no longer mean anything: ``from_dict``
@@ -109,7 +106,13 @@ PRESETS: dict[str, dict[str, object]] = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything that determines one fleet experiment, as one value.
+    """One fleet experiment and how to execute it, as one value.
+
+    The experiment is ``scenario``, ``vehicles``, ``seed``,
+    ``first_vehicle_id``, ``enforcement`` and ``scenario_parameters``
+    (:data:`EXPERIMENT_FIELDS`); the fleet fingerprint and
+    :meth:`config_hash` depend on them alone.  The rest are execution
+    settings.
 
     Parameters
     ----------
@@ -122,7 +125,7 @@ class ExperimentConfig:
         Master seed every per-vehicle stream derives from.
     first_vehicle_id:
         Id of the first vehicle (lets sweep entries share one global id
-        space, as ``run_many`` did).
+        space).
     enforcement:
         Optional fleet-wide enforcement label overriding the scenario's
         mix (``"unprotected"``, ``"selinux-only"``, ``"hpe-only"``,
@@ -136,8 +139,7 @@ class ExperimentConfig:
         their defaults, so for them the overrides are recorded report
         metadata only.
     trace_level:
-        Bus-trace retention for every vehicle (fingerprints are
-        bit-identical across levels).
+        Bus-trace retention for every vehicle.
     inbox_limit:
         Per-node inbox retention (``None`` keeps every received frame).
     workers / chunk_size:
@@ -150,18 +152,14 @@ class ExperimentConfig:
         :mod:`multiprocessing.shared_memory` so only a tiny handle
         crosses the pipe, ``"pickle"`` sends pickled spec lists.
         ``"shm"`` falls back to ``"pickle"`` automatically where shared
-        memory is unavailable; fingerprints are bit-identical across
-        modes, so the field moves bytes and memory around, never
-        results.
+        memory is unavailable.
     reuse_cars / compile_tables:
-        The pool and compiled-decision-table toggles (both default on;
-        fingerprints are identical either way).
+        The pool and compiled-decision-table toggles (both default on).
     retry:
         Times a failed chunk is re-executed before the run gives up on
-        parallel execution of it (``0`` disables retries).  Because
-        every chunk is a pure function of its specs, a retried chunk is
-        bit-identical to the original -- retries move wall time around,
-        never results.
+        parallel execution of it (``0`` disables retries).  Every chunk
+        is a pure function of its specs, so a retried chunk is
+        bit-identical to the original.
     chunk_timeout_s:
         Seconds the parent waits for one chunk before treating its
         worker as dead or hung and re-queueing the chunk (``None``, the
@@ -173,14 +171,13 @@ class ExperimentConfig:
         execution falls back to inline-in-parent -- instead of aborting
         the run.  ``False`` surfaces a
         :class:`~repro.fleet.resilience.ChunkFailedError` instead.
-        Fingerprints are identical along the whole ladder.
 
     With ``trace_level="counters"`` and ``compile_tables=True`` (the
     defaults) a run simulates each distinct behaviour key once and
     serves repeats from an outcome memo; the result's ``kernel_runs``
     says how many vehicles ran the kernel.  There is no switch for it:
-    fingerprints are identical either way, and the other trace levels
-    or ``compile_tables=False`` simulate every vehicle.
+    the other trace levels or ``compile_tables=False`` simulate every
+    vehicle.
     """
 
     scenario: str
@@ -304,36 +301,26 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (round-trips via :meth:`from_dict`)."""
-        return {
-            "scenario": self.scenario,
-            "vehicles": self.vehicles,
-            "seed": self.seed,
-            "first_vehicle_id": self.first_vehicle_id,
-            "enforcement": self.enforcement,
-            "scenario_parameters": dict(self.scenario_parameters),
-            "trace_level": self.trace_level.value,
-            "inbox_limit": self.inbox_limit,
-            "workers": self.workers,
-            "chunk_size": self.chunk_size,
-            "spec_transfer": self.spec_transfer,
-            "reuse_cars": self.reuse_cars,
-            "compile_tables": self.compile_tables,
-            "retry": self.retry,
-            "chunk_timeout_s": self.chunk_timeout_s,
-            "degrade": self.degrade,
-        }
+        data = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
+        data["scenario_parameters"] = dict(self.scenario_parameters)
+        data["trace_level"] = self.trace_level.value
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         """Rebuild a config serialised by :meth:`to_dict`.
 
-        Unknown keys are rejected with the allowed key set named -- a
-        typo'd key would otherwise silently run a different experiment.
-        Legacy keys (:data:`_LEGACY_KEYS`) are dropped: they never
-        changed a fingerprint.
+        Unknown keys are rejected with the allowed key set (the
+        dataclass fields) named -- a typo'd key would otherwise silently
+        run a different experiment.  Fields without a default are
+        required.  Legacy keys (:data:`_LEGACY_KEYS`) are dropped: they
+        never changed a fingerprint.
         """
         data = {key: value for key, value in data.items() if key not in _LEGACY_KEYS}
-        _check_keys(data, "ExperimentConfig", _REQUIRED_KEYS, _OPTIONAL_KEYS)
+        fields = dataclasses.fields(cls)
+        required = tuple(f.name for f in fields if f.default is dataclasses.MISSING)
+        optional = tuple(f.name for f in fields if f.default is not dataclasses.MISSING)
+        _check_keys(data, "ExperimentConfig", required, optional)
         return cls(**data)
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -341,29 +328,33 @@ class ExperimentConfig:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
     def canonical_json(self) -> str:
-        """The *canonical* JSON form: sorted keys, no whitespace.
+        """The *canonical* JSON form of every field: sorted keys, no whitespace.
 
-        The unique serialisation :meth:`config_hash` digests.  Two
-        configs have the same canonical JSON iff they are equal, however
-        their dict forms were ordered and however many ``to_dict`` /
-        ``from_dict`` round trips they took (``__post_init__``
-        canonicalises parameter values on every construction).
+        Two configs have the same canonical JSON iff they are equal,
+        however their dict forms were ordered and however many
+        ``to_dict`` / ``from_dict`` round trips they took
+        (``__post_init__`` canonicalises parameter values on every
+        construction).  The service stores each job in this form, so a
+        job replays with its own execution settings.
         """
-        return json.dumps(
-            self.to_dict(), sort_keys=True, separators=(",", ":"), default=list
-        )
+        return _canonical(self.to_dict())
 
     def config_hash(self) -> str:
-        """SHA-256 hex digest of :meth:`canonical_json`.
+        """SHA-256 hex digest of the experiment's canonical JSON.
 
-        The experiment service's dedup key: runs are pure functions of
-        their config, so equal hashes mean bit-identical
-        :class:`~repro.fleet.results.FleetResult` fingerprints and the
-        cached result can be served without simulating.  Stable across
-        processes, dict key orderings and serialisation round trips --
-        pinned by the hash-invariance tests.
+        Only the :data:`EXPERIMENT_FIELDS` are digested, serialised as
+        :meth:`canonical_json` serialises them.  The experiment
+        service's dedup key: a fleet fingerprint is a function of the
+        experiment alone, so configs that differ only in how they
+        execute (the ``debug()``, ``throughput()`` and ``faithful()``
+        presets of one experiment, say) share a hash, and a cached
+        result is served without simulating.  Stable across processes,
+        dict key orderings and serialisation round trips -- pinned by
+        the hash-invariance tests.
         """
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        data = self.to_dict()
+        experiment = {name: data[name] for name in EXPERIMENT_FIELDS}
+        return hashlib.sha256(_canonical(experiment).encode("utf-8")).hexdigest()
 
     @classmethod
     def from_json(cls, text: str) -> "ExperimentConfig":
@@ -425,3 +416,8 @@ class ExperimentConfig:
     def cli_command(self) -> str:
         """The full shell command reproducing this config (shell-quoted)."""
         return "python -m repro " + shlex.join(self.cli_arguments())
+
+
+def _canonical(data: dict) -> str:
+    """Sorted keys, no whitespace, tuples as lists: one text per value."""
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), default=list)

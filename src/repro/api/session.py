@@ -30,10 +30,10 @@ size.
 
 Worker processes are kept alive across runs (one pool per worker
 count) until :meth:`close` -- use the session as a context manager.
-Everything the session does is a pure function of the config: the same
-config reproduces the same fingerprint here, in the legacy
-:class:`~repro.fleet.runner.FleetRunner` shim, and from the shell via
-``python -m repro fleet run``.
+Every fingerprint the session produces is a function of the config's
+experiment fields alone (:data:`~repro.api.config.EXPERIMENT_FIELDS`):
+the same experiment reproduces the same fingerprint here, under any
+execution settings, and from the shell via ``python -m repro fleet run``.
 
 Vehicles that repeat a behaviour key are simulated once: in
 ``COUNTERS`` retention with compiled tables, the session's
@@ -174,15 +174,6 @@ class FleetSession:
         attempts fail, never what the surviving run computes, so
         fingerprints are identical with or without one.
     """
-
-    #: Largest fleet ``run_matrix`` will record for consecutive-entry
-    #: spec reuse.  Beyond this the recording is abandoned mid-stream
-    #: (and the entry runs lazily like any other), so sweeps over 10^5+
-    #: -vehicle fleets keep the parent O(chunk) instead of silently
-    #: rematerialising the whole fleet -- reuse is a small-sweep
-    #: optimisation (~14 MiB of specs at this cap), not a licence to
-    #: undo the lazy pipeline.
-    SPEC_CACHE_LIMIT = 20_000
 
     def __init__(
         self,
@@ -370,7 +361,7 @@ class FleetSession:
     def run_specs(
         self, specs: Sequence[VehicleSpec], scenario_name: str
     ) -> FleetResult:
-        """Run explicit specs (the custom-workload and legacy-shim path)."""
+        """Run explicit specs (the custom-workload path)."""
         ordered = sorted(specs, key=lambda spec: spec.vehicle_id)
         return self._drain(
             self._stream(self.config, ordered, scenario_name, total=len(ordered))
@@ -382,22 +373,14 @@ class FleetSession:
         """Run a config sweep through this session's warm pools.
 
         Each entry is either a full :class:`ExperimentConfig` or a dict
-        of overrides applied to the session's base config.  Entries run
-        sequentially but share the session's builder, car pools and
-        worker processes, so the policy derivation and car construction
-        cost is paid once for the whole sweep.  Consecutive entries that
-        describe the same fleet -- same (scenario, parameters, vehicles,
-        seed, first_vehicle_id, enforcement), e.g. a worker-count or
-        trace-level sweep -- also reuse one recorded spec stream, so
-        spec generation is paid once per distinct fleet rather than per
-        entry.  Recording is bounded by :attr:`SPEC_CACHE_LIMIT`:
-        fleets beyond it run lazily without reuse, so sweeps keep the
-        parent O(chunk) at any scale.  Returns ``(config, result)``
-        pairs in execution order.
+        of overrides applied to the session's base config, and runs
+        through :meth:`run_config`: entries run sequentially but share
+        the session's builder, car pools, worker processes and outcome
+        memo, so the policy derivation and car construction cost is paid
+        once for the whole sweep.  Returns ``(config, result)`` pairs in
+        execution order.
         """
         results: list[tuple[ExperimentConfig, FleetResult]] = []
-        cached_key: tuple | None = None
-        cached_specs: list[VehicleSpec] = []
         for entry in configs:
             config = (
                 self.config.with_overrides(**entry)
@@ -409,60 +392,10 @@ class FleetSession:
                     "run_matrix entries must be ExperimentConfig objects or "
                     f"override dicts, not {type(entry).__name__}"
                 )
-            key = self._spec_stream_key(config)
-            record: dict | None = None
-            if key == cached_key:
-                source: Iterable[VehicleSpec] = cached_specs
-            else:
-                record = {"specs": [], "valid": True}
-                source = self._recording_stream(
-                    self.iter_vehicle_specs(config), record
-                )
-            result = self._drain(
-                self._stream(config, source, config.scenario, total=config.vehicles)
-            )
-            if record is not None:
-                # Only a fully drained, size-bounded stream is a
-                # faithful cache; otherwise drop any stale one too.
-                if record["valid"]:
-                    cached_key, cached_specs = key, record["specs"]
-                else:
-                    cached_key, cached_specs = None, []
-            results.append((config, result))
+            results.append((config, self.run_config(config)))
         return results
 
     # -- internals ------------------------------------------------------------
-
-    @staticmethod
-    def _spec_stream_key(config: ExperimentConfig) -> tuple:
-        """Everything the spec stream is a function of (and nothing else)."""
-        return (
-            config.scenario,
-            config.scenario_parameters,
-            config.vehicles,
-            config.seed,
-            config.first_vehicle_id,
-            config.enforcement,
-        )
-
-    @classmethod
-    def _recording_stream(
-        cls, stream: Iterator[VehicleSpec], record: dict
-    ) -> Iterator[VehicleSpec]:
-        """Tee *stream* into ``record["specs"]`` up to the cache limit.
-
-        Past :attr:`SPEC_CACHE_LIMIT` the recording is abandoned --
-        ``record["valid"]`` flips off and the partial copy is released
-        -- while the stream itself keeps flowing untouched.
-        """
-        specs = record["specs"]
-        for spec in stream:
-            if record["valid"]:
-                specs.append(spec)
-                if len(specs) > cls.SPEC_CACHE_LIMIT:
-                    record["valid"] = False
-                    specs.clear()
-            yield spec
 
     def _drain(self, stream: Iterator[VehicleOutcome]) -> FleetResult:
         deque(stream, maxlen=0)
@@ -562,7 +495,7 @@ class FleetSession:
     ) -> Iterator[VehicleOutcome]:
         simulate = self._kernel(config)
         if memo_applies(config.trace_level, config.compile_tables):
-            return self._memo.outcomes(specs, simulate, config.inbox_limit)
+            return self._memo.outcomes(specs, simulate)
         return map(simulate, specs)
 
     def _simulate_parallel(
@@ -765,7 +698,7 @@ class FleetSession:
             if memo is None:
                 record = _ChunkAttempt(next_index, chunk)
             else:
-                join_plan, misses = memo.split(chunk, config.inbox_limit, pending_keys)
+                join_plan, misses = memo.split(chunk, pending_keys)
                 record = _ChunkAttempt(next_index, misses, join_plan)
             next_index += 1
             if record.size:
@@ -864,8 +797,7 @@ class FleetSession:
 
     def _inline_car_pool(self) -> CarPool:
         if self._builder is None:
-            # Shared process-wide pool: stays warm across sessions and
-            # matches the legacy FleetRunner inline path exactly.
+            # Shared process-wide pool: stays warm across sessions.
             return _process_pool()
         if self._car_pool is None:
             self._car_pool = self._builder.pool()

@@ -17,10 +17,9 @@ thousands of vehicles in one call:
 * :mod:`repro.fleet.runner` -- :func:`simulate_vehicle` (one spec to one
   outcome), the bounded :class:`OutcomeMemo` that simulates each
   distinct behaviour key once in counters-mode runs (``fuzz`` specs key
-  on their seed too), plus the per-process worker plumbing.  The
-  :class:`~repro.fleet.runner.FleetRunner` class is a deprecation shim;
-  orchestrate through :class:`repro.api.FleetSession` with an
-  :class:`repro.api.ExperimentConfig` instead.
+  on their seed too), plus the per-process worker plumbing.
+  Orchestrate through :class:`repro.api.FleetSession` with an
+  :class:`repro.api.ExperimentConfig`.
 * :mod:`repro.fleet.transfer` -- columnar :class:`SpecBlock` /
   :class:`OutcomeBlock` codecs and the shared-memory transport that
   moves chunks between parent and workers with only ``(name, size)``
@@ -56,7 +55,7 @@ from repro.fleet.results import (
     StreamingFleetAggregator,
     VehicleOutcome,
 )
-from repro.fleet.runner import FleetRunner, OutcomeMemo, VehicleSpec, simulate_vehicle
+from repro.fleet.runner import OutcomeMemo, VehicleSpec, simulate_vehicle
 from repro.fleet.transfer import OutcomeBlock, ShmHandle, SpecBlock
 from repro.fleet.scenarios import (
     FleetScenario,
@@ -77,7 +76,6 @@ __all__ = [
     "FleetExecutionError",
     "FleetKernel",
     "FleetResult",
-    "FleetRunner",
     "FleetScenario",
     "InjectedFaultError",
     "OutcomeBlock",

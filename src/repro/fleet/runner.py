@@ -12,9 +12,7 @@ and car-pool caches, the picklable chunk function) that
 
 Orchestration lives in :mod:`repro.api`: build an
 :class:`~repro.api.config.ExperimentConfig` and run it through a
-:class:`~repro.api.session.FleetSession`.  The :class:`FleetRunner` here
-is a thin deprecation shim kept for existing callers -- it forwards to a
-session and emits ``DeprecationWarning``.
+:class:`~repro.api.session.FleetSession`.
 
 Worker-count invariance: each vehicle's timeline is a pure function of
 its spec (the kernel replays scripted actions at scripted times with
@@ -33,7 +31,6 @@ they receive.
 from __future__ import annotations
 
 import sys
-import warnings
 from dataclasses import replace
 from functools import partial
 from itertools import islice
@@ -49,8 +46,8 @@ from repro.core.enforcement import EnforcementConfig
 from repro.core.updates import PolicyUpdateBundle, PolicyUpdateClient
 from repro.fleet.kernel import FleetKernel
 from repro.fleet.resilience import FaultEvent, apply_worker_fault
-from repro.fleet.results import FleetResult, VehicleOutcome
-from repro.fleet.scenarios import FleetScenario, VehicleAction, VehicleSpec, get_scenario
+from repro.fleet.results import VehicleOutcome
+from repro.fleet.scenarios import VehicleAction, VehicleSpec
 from repro.fleet.transfer import (
     OutcomeBlock,
     ShmHandle,
@@ -412,9 +409,10 @@ class OutcomeMemo:
     """Bounded memo of vehicle outcomes keyed by what determines them.
 
     A vehicle's deterministic outcome is a function of its behaviour key
-    ``(scenario, enforcement, duration_s, actions)`` and the run's
-    ``inbox_limit`` -- not of its id, and not of its seed unless an
-    action draws from a seeded stream (:data:`SEEDED_ACTION_KINDS`).
+    ``(scenario, enforcement, duration_s, actions)`` -- not of its id,
+    not of the run's ``inbox_limit`` (only attack nodes read an inbox,
+    and they keep every frame), and not of its seed unless an action
+    draws from a seeded stream (:data:`SEEDED_ACTION_KINDS`).
     The first vehicle with a key runs the kernel; every later one gets
     that outcome under its own id, with zeroed timings and ``memo_hit``
     set, so :attr:`~repro.fleet.results.FleetResult.kernel_runs` counts
@@ -436,7 +434,7 @@ class OutcomeMemo:
         self._entries: dict[tuple, VehicleOutcome] = {}
 
     @staticmethod
-    def key(spec: VehicleSpec, inbox_limit: int | None) -> tuple:
+    def key(spec: VehicleSpec) -> tuple:
         """Everything *spec*'s deterministic outcome is a function of."""
         seeded = any(action.kind in SEEDED_ACTION_KINDS for action in spec.actions)
         return (
@@ -444,7 +442,6 @@ class OutcomeMemo:
             spec.enforcement,
             spec.duration_s,
             spec.actions,
-            inbox_limit,
             spec.seed if seeded else None,
         )
 
@@ -452,12 +449,11 @@ class OutcomeMemo:
         self,
         specs: Iterable[VehicleSpec],
         simulate: Callable[[VehicleSpec], VehicleOutcome],
-        inbox_limit: int | None,
     ) -> Iterator[VehicleOutcome]:
         """One outcome per spec, in order, calling *simulate* on misses only."""
         entries = self._entries
         for spec in specs:
-            key = self.key(spec, inbox_limit)
+            key = self.key(spec)
             stored = entries.get(key)
             if stored is None:
                 outcome = simulate(spec)
@@ -469,7 +465,6 @@ class OutcomeMemo:
     def split(
         self,
         specs: Iterable[VehicleSpec],
-        inbox_limit: int | None,
         in_flight: dict[tuple, _Pending],
     ) -> tuple[tuple[list, list[_Pending]], list[VehicleSpec]]:
         """Plan one chunk of a stream; returns ``(plan, misses)``.
@@ -487,7 +482,7 @@ class OutcomeMemo:
         pending: list[_Pending] = []
         misses: list[VehicleSpec] = []
         for spec in specs:
-            key = self.key(spec, inbox_limit)
+            key = self.key(spec)
             source = entries.get(key)
             if source is None:
                 source = in_flight.get(key)
@@ -724,114 +719,3 @@ def _simulate_chunk_shm(
     with span("simulate.encode_outcomes"):
         out_handle = write_block(OutcomeBlock.encode(outcomes).to_bytes())
     return out_handle, _drain_chunk_telemetry(registry)
-
-
-class FleetRunner:
-    """Deprecated: run fleet scenarios through the legacy kwargs surface.
-
-    .. deprecated::
-        Build an :class:`~repro.api.config.ExperimentConfig` and run it
-        through a :class:`~repro.api.session.FleetSession` instead --
-        one config value replaces the six constructor kwargs, round-trips
-        through JSON and drives ``python -m repro`` identically.
-
-    The shim forwards every call to a session, so results (including
-    fleet fingerprints) are bit-identical to both the new surface and
-    the historical runner at any worker count.
-    """
-
-    def __init__(
-        self,
-        workers: int = 1,
-        chunk_size: int | None = None,
-        trace_level: TraceLevel | str = TraceLevel.COUNTERS,
-        inbox_limit: int | None = DEFAULT_FLEET_INBOX_LIMIT,
-        reuse_cars: bool = True,
-        compile_tables: bool = True,
-    ) -> None:
-        warnings.warn(
-            "FleetRunner is deprecated; build a repro.api.ExperimentConfig "
-            "and run it through repro.api.FleetSession",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        self.workers = workers
-        self.chunk_size = chunk_size
-        self.trace_level = TraceLevel.coerce(trace_level)
-        self.inbox_limit = inbox_limit
-        self.reuse_cars = reuse_cars
-        self.compile_tables = compile_tables
-
-    # -- execution ------------------------------------------------------------
-
-    @staticmethod
-    def _warn_deprecated(name: str) -> None:
-        # stacklevel=3: _warn_deprecated -> public method -> the caller.
-        warnings.warn(
-            f"{name} is deprecated; use repro.api.FleetSession",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def run(
-        self,
-        scenario: FleetScenario | str,
-        vehicles: int,
-        seed: int = 0,
-        first_vehicle_id: int = 0,
-    ) -> FleetResult:
-        """Run *vehicles* instances of *scenario* and aggregate the fleet."""
-        self._warn_deprecated("FleetRunner.run")
-        if isinstance(scenario, str):
-            scenario = get_scenario(scenario)
-        specs = scenario.vehicle_specs(vehicles, seed, first_vehicle_id=first_vehicle_id)
-        return self._run_specs(specs, scenario.name)
-
-    def run_specs(self, specs: Sequence[VehicleSpec], scenario_name: str) -> FleetResult:
-        """Simulate explicit specs (the path custom workloads use too)."""
-        self._warn_deprecated("FleetRunner.run_specs")
-        return self._run_specs(specs, scenario_name)
-
-    def run_many(
-        self,
-        scenarios: Iterable[FleetScenario | str],
-        vehicles_each: int,
-        seed: int = 0,
-    ) -> dict[str, FleetResult]:
-        """Run several scenarios back to back (one heterogeneous fleet call).
-
-        Vehicle ids are globally unique across the combined fleet so
-        per-scenario results can be merged or compared without clashes.
-        """
-        self._warn_deprecated("FleetRunner.run_many")
-        results: dict[str, FleetResult] = {}
-        next_id = 0
-        for entry in scenarios:
-            scenario = get_scenario(entry) if isinstance(entry, str) else entry
-            specs = scenario.vehicle_specs(
-                vehicles_each, seed, first_vehicle_id=next_id
-            )
-            results[scenario.name] = self._run_specs(specs, scenario.name)
-            next_id += vehicles_each
-        return results
-
-    def _run_specs(self, specs: Sequence[VehicleSpec], scenario_name: str) -> FleetResult:
-        # Imported here so the fleet package has no import-time
-        # dependency on the api layer built on top of it.
-        from repro.api.config import ExperimentConfig
-        from repro.api.session import FleetSession
-
-        config = ExperimentConfig(
-            scenario=scenario_name or "custom",
-            vehicles=max(1, len(specs)),
-            workers=self.workers,
-            chunk_size=self.chunk_size,
-            trace_level=self.trace_level,
-            inbox_limit=self.inbox_limit,
-            reuse_cars=self.reuse_cars,
-            compile_tables=self.compile_tables,
-        )
-        with FleetSession(config) as session:
-            return session.run_specs(specs, scenario_name)

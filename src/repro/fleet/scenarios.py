@@ -3,7 +3,7 @@
 A *fleet scenario* composes the existing single-vehicle machinery --
 Table I attack scenarios, replay/DoS/fuzzing primitives, car modes and
 post-deployment policy updates -- into a workload definition that the
-:class:`~repro.fleet.runner.FleetRunner` can stamp out over thousands of
+:class:`~repro.api.session.FleetSession` can stamp out over thousands of
 vehicles.  Scenario materialisation is split from execution:
 
 * :meth:`FleetScenario.iter_vehicle_specs` runs in the parent process

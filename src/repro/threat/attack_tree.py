@@ -116,7 +116,9 @@ class AttackTree:
         return [self._nodes[c] for c in self._graph.successors(name)]
 
     def leaves(self) -> list[AttackTreeNode]:
-        """All leaf nodes (concrete attacker actions)."""
+        """All childless nodes (the graph's sinks): the attacker actions,
+        plus any AND/OR goal not refined yet, which the analysis methods
+        refuse but this listing keeps."""
         return [self._nodes[n] for n in self._graph.nodes() if not self._graph.successors(n)]
 
     def __len__(self) -> int:
@@ -135,16 +137,27 @@ class AttackTree:
 
         Leaves contribute their own feasibility.  AND nodes multiply child
         feasibilities (all steps must succeed); OR nodes combine children
-        as independent alternatives: ``1 - prod(1 - f_i)``.
+        as independent alternatives: ``1 - prod(1 - f_i)``.  Like every
+        analysis method, raises ``ValueError`` on an AND/OR node without
+        children: an unrefined goal is not a certain step.
         """
-        return self._feasibility(self._root.name)
+        return self.mitigated_feasibility(())
 
-    def _feasibility(self, name: str) -> float:
+    def _require_refined(self) -> None:
+        unrefined = [
+            name
+            for name, node in self._nodes.items()
+            if node.node_type is not NodeType.LEAF and not self._graph.successors(name)
+        ]
+        if unrefined:
+            raise ValueError(f"AND/OR nodes without children cannot be scored: {unrefined}")
+
+    def _feasibility(self, name: str, blocked: set[str]) -> float:
         node = self._nodes[name]
         children = list(self._graph.successors(name))
         if not children:
-            return node.feasibility
-        child_values = [self._feasibility(c) for c in children]
+            return 0.0 if name in blocked else node.feasibility
+        child_values = [self._feasibility(c, blocked) for c in children]
         if node.node_type == NodeType.AND:
             result = 1.0
             for value in child_values:
@@ -158,6 +171,7 @@ class AttackTree:
 
     def cheapest_path_cost(self) -> float:
         """Minimum attacker cost to achieve the root goal."""
+        self._require_refined()
         return self._cost(self._root.name)
 
     def _cost(self, name: str) -> float:
@@ -178,6 +192,7 @@ class AttackTree:
         scenarios; AND nodes take the cross-product union of their
         children's scenarios.
         """
+        self._require_refined()
         return self._scenarios(self._root.name)
 
     def _scenarios(self, name: str) -> list[frozenset[str]]:
@@ -214,23 +229,8 @@ class AttackTree:
         internal = sorted(name for name in blocked if self._graph.successors(name))
         if internal:
             raise ValueError(f"only leaf nodes can be blocked, not {internal}")
-        return self._feasibility_with_block(self._root.name, blocked)
-
-    def _feasibility_with_block(self, name: str, blocked: set[str]) -> float:
-        node = self._nodes[name]
-        children = list(self._graph.successors(name))
-        if not children:
-            return 0.0 if name in blocked else node.feasibility
-        child_values = [self._feasibility_with_block(c, blocked) for c in children]
-        if node.node_type == NodeType.AND:
-            result = 1.0
-            for value in child_values:
-                result *= value
-            return result
-        complement = 1.0
-        for value in child_values:
-            complement *= 1.0 - value
-        return 1.0 - complement
+        self._require_refined()
+        return self._feasibility(self._root.name, blocked)
 
 
 def _minimal_sets(sets: list[frozenset[str]]) -> list[frozenset[str]]:

@@ -1,11 +1,17 @@
 """Tests for the ``python -m repro`` command line (in-process)."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.api import ExperimentConfig, FleetSession
 from repro.api.cli import main
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(*argv):
@@ -258,3 +264,32 @@ class TestFleetRun:
                 "fleet", "run", "--scenario", "baseline_cruise",
                 "--vehicles", "2", "--param", "novalue",
             )
+
+
+class TestServiceStackIsLazy:
+    def test_fleet_run_never_loads_the_service_stack(self):
+        code = """
+import sys
+from repro.api.cli import main
+
+assert main(["fleet", "run", "--scenario", "baseline_cruise", "--vehicles", "4"]) == 0
+print(sorted({"sqlite3", "http.server"} & set(sys.modules)))
+"""
+        out = subprocess.run(
+            [sys.executable, "-c", code],
+            env={"PYTHONPATH": str(SRC)},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert out.stdout.splitlines()[-1] == "[]"
+
+    def test_unreachable_service_is_exit_code_2(self, capsys):
+        assert run_cli("jobs", "list", "--url", "http://127.0.0.1:1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error:")
+        assert err.count("\n") == 1
+
+    def test_unknown_job_state_is_exit_code_2(self, capsys):
+        assert run_cli("jobs", "list", "--url", "http://127.0.0.1:1", "--state", "lost") == 2
+        assert "unknown job state 'lost'" in capsys.readouterr().err

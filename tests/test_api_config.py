@@ -1,6 +1,7 @@
 """Tests for :class:`repro.api.config.ExperimentConfig`: validation,
 presets, serialisation round trips and the CLI-equivalence surface."""
 
+import dataclasses
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api.cli import build_parser
-from repro.api.config import PRESETS, ExperimentConfig
+from repro.api.config import EXPERIMENT_FIELDS, PRESETS, ExperimentConfig
 from repro.can.trace import TraceLevel
 from repro.core.enforcement import EnforcementConfig
 from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT
@@ -236,8 +237,34 @@ class TestSerialisation:
         ) == config
 
 
+#: One override per experiment field (each must move the hash) ...
+EXPERIMENT_OVERRIDES = [
+    {"scenario": "fuzz_probe"},
+    {"scenario_parameters": {"frames": 9}},
+    {"vehicles": 11},
+    {"seed": 1},
+    {"first_vehicle_id": 5},
+    {"enforcement": "hpe-only"},
+]
+
+#: ... and one per execution field (none may).
+EXECUTION_OVERRIDES = [
+    {"trace_level": "full"},
+    {"inbox_limit": None},
+    {"workers": 2},
+    {"chunk_size": 3},
+    {"spec_transfer": "pickle"},
+    {"reuse_cars": False},
+    {"compile_tables": False},
+    {"retry": 0},
+    {"chunk_timeout_s": 30.0},
+    {"degrade": False},
+]
+
+
 class TestConfigHash:
-    """The service's dedup key: canonical, order-blind, round-trip stable."""
+    """The service's dedup key: the experiment fields only, canonical,
+    order-blind, round-trip stable."""
 
     def test_hash_is_sha256_hex(self):
         digest = ExperimentConfig(scenario="x", vehicles=3).config_hash()
@@ -249,16 +276,32 @@ class TestConfigHash:
         b = ExperimentConfig(scenario="mixed_ev_dos", vehicles=10, seed=4)
         assert a.config_hash() == b.config_hash()
 
-    def test_any_field_change_changes_the_hash(self):
+    def test_every_field_is_an_experiment_or_an_execution_field(self):
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        experiment = {name for override in EXPERIMENT_OVERRIDES for name in override}
+        execution = {name for override in EXECUTION_OVERRIDES for name in override}
+        assert experiment == set(EXPERIMENT_FIELDS)
+        assert experiment | execution == fields
+        assert not experiment & execution
+
+    @pytest.mark.parametrize("override", EXPERIMENT_OVERRIDES, ids=lambda o: next(iter(o)))
+    def test_each_experiment_field_moves_the_hash(self, override):
         base = ExperimentConfig(scenario="mixed_ev_dos", vehicles=10)
-        for override in (
-            {"vehicles": 11},
-            {"seed": 1},
-            {"workers": 2},
-            {"enforcement": "hpe-only"},
-            {"scenario_parameters": {"frames": 9}},
-        ):
-            assert base.with_overrides(**override).config_hash() != base.config_hash()
+        assert base.with_overrides(**override).config_hash() != base.config_hash()
+
+    @pytest.mark.parametrize("override", EXECUTION_OVERRIDES, ids=lambda o: next(iter(o)))
+    def test_no_execution_field_moves_the_hash(self, override):
+        base = ExperimentConfig(scenario="mixed_ev_dos", vehicles=10)
+        other = base.with_overrides(**override)
+        assert other != base
+        assert other.config_hash() == base.config_hash()
+
+    def test_presets_of_one_experiment_share_one_hash(self):
+        configs = [
+            ExperimentConfig.preset(name, "mixed_ev_dos", 40, seed=2018) for name in PRESETS
+        ]
+        assert len({config.canonical_json() for config in configs}) == len(PRESETS)
+        assert len({config.config_hash() for config in configs}) == 1
 
     def test_hash_invariant_to_dict_key_order(self):
         config = ExperimentConfig(

@@ -1,36 +1,37 @@
 """Tests for :class:`repro.api.session.FleetSession`: streaming outcomes,
-batch/legacy equivalence, config sweeps and the session lifecycle."""
+stream/batch/explicit-spec equivalence, config sweeps and the session
+lifecycle."""
 
 import gc
 import json
-import warnings
 import weakref
 
 import pytest
 
 from repro.api import ExperimentConfig, FleetSession, run_experiment
 from repro.api.cli import main as cli_main
-from repro.fleet.runner import FleetRunner
-from repro.fleet.scenarios import VehicleAction, VehicleSpec
+from repro.fleet.scenarios import VehicleAction, VehicleSpec, get_scenario
 
 SMALL_FLEET = 16
 
 
-def _legacy_result(workers, scenario="mixed_ev_dos", vehicles=SMALL_FLEET, seed=42, **kwargs):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        return FleetRunner(workers=workers, **kwargs).run(scenario, vehicles, seed=seed)
+def _explicit_specs_result(config):
+    """*config*'s fleet materialised up front and run as explicit specs."""
+    specs = get_scenario(config.scenario).vehicle_specs(config.vehicles, config.seed)
+    with FleetSession(config) as session:
+        return session.run_specs(specs, config.scenario)
 
 
 class TestRun:
-    def test_run_matches_legacy_at_one_and_four_workers(self):
+    def test_run_matches_explicit_specs_at_one_and_four_workers(self):
         config = ExperimentConfig(scenario="mixed_ev_dos", vehicles=SMALL_FLEET, seed=42)
         serial = FleetSession(config).run()
-        with FleetSession(config.with_overrides(workers=4, chunk_size=2)) as session:
+        parallel_config = config.with_overrides(workers=4, chunk_size=2)
+        with FleetSession(parallel_config) as session:
             parallel = session.run()
         assert serial.fingerprint() == parallel.fingerprint()
-        assert serial.fingerprint() == _legacy_result(1).fingerprint()
-        assert serial.fingerprint() == _legacy_result(4, chunk_size=2).fingerprint()
+        assert serial.fingerprint() == _explicit_specs_result(config).fingerprint()
+        assert serial.fingerprint() == _explicit_specs_result(parallel_config).fingerprint()
         assert serial.vehicles == SMALL_FLEET
 
     def test_run_experiment_one_shot(self):
@@ -94,14 +95,13 @@ class TestRun:
             )
             for i in (3, 1, 2)
         ]
-        session = FleetSession(ExperimentConfig(scenario="custom-unit", vehicles=3))
+        config = ExperimentConfig(scenario="custom-unit", vehicles=3)
+        session = FleetSession(config)
         result = session.run_specs(specs, "custom-unit")
         assert result.vehicles == 3
         assert result.scenario == "custom-unit"
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = FleetRunner(workers=1).run_specs(specs, "custom-unit")
-        assert result.fingerprint() == legacy.fingerprint()
+        with FleetSession(config.with_overrides(workers=2, chunk_size=1)) as parallel:
+            assert parallel.run_specs(specs, "custom-unit").fingerprint() == result.fingerprint()
 
 
 class TestStreaming:
@@ -199,10 +199,10 @@ class TestRunMatrix:
 
 
 class TestStreamingAcceptance:
-    """The tentpole acceptance: a 2,000-vehicle ``fleet_replay_storm``
-    run streams with bounded memory and every surface -- streamed
-    session, batch session, legacy runner at 1 and 4 workers, and the
-    ``python -m repro`` CLI -- produces one bit-identical fingerprint."""
+    """A 2,000-vehicle ``fleet_replay_storm`` run streams with bounded
+    memory and every surface -- streamed session at 1 and 4 workers,
+    batch session, and the ``python -m repro`` CLI -- produces one
+    bit-identical fingerprint."""
 
     SCENARIO = "fleet_replay_storm"
     VEHICLES = 2000
@@ -260,17 +260,15 @@ class TestStreamingAcceptance:
         # batch aggregator used to hold.
         assert max_alive < self.VEHICLES // 4
 
-    def test_stream_is_bit_identical_to_batch_and_legacy(self, streamed, config):
+    def test_stream_is_bit_identical_to_batch_at_one_and_four_workers(
+        self, streamed, streams, config
+    ):
         result, _, _ = streamed
         with FleetSession(config) as session:
             batch = session.run()
         assert result.fingerprint() == batch.fingerprint()
-        assert result.fingerprint() == _legacy_result(
-            1, scenario=self.SCENARIO, vehicles=self.VEHICLES, seed=self.SEED
-        ).fingerprint()
-        assert result.fingerprint() == _legacy_result(
-            4, scenario=self.SCENARIO, vehicles=self.VEHICLES, seed=self.SEED
-        ).fingerprint()
+        assert result.fingerprint() == streams(1)[0].fingerprint()
+        assert result.fingerprint() == streams(4)[0].fingerprint()
 
     def test_cli_reproduces_the_same_fingerprint(self, streamed, config, tmp_path, capsys):
         result, _, _ = streamed

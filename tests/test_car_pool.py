@@ -12,11 +12,11 @@ pooled execution at 1 and 4 workers, pristine state after reset
 
 import pytest
 
+from repro.api import ExperimentConfig, FleetSession
 from repro.attacks.attacker import MaliciousNode
 from repro.can.trace import TraceLevel
 from repro.casestudy.builder import CarPool, CaseStudyBuilder
 from repro.core.enforcement import EnforcementConfig
-from repro.fleet.runner import FleetRunner
 from repro.vehicle.modes import CarMode
 
 SEED = 99
@@ -134,39 +134,39 @@ class TestCarPool:
         assert len(pool) == 0
 
 
+def _run(scenario, vehicles, **execution):
+    config = ExperimentConfig(scenario=scenario, vehicles=vehicles, seed=SEED, **execution)
+    with FleetSession(config) as session:
+        return session.run()
+
+
 class TestPooledFleetDeterminism:
     @pytest.mark.parametrize("scenario", ["fleet_replay_storm", "mixed_ev_dos"])
     def test_pooled_matches_fresh_single_worker(self, scenario):
-        fresh = FleetRunner(workers=1, reuse_cars=False).run(scenario, 24, seed=SEED)
-        pooled = FleetRunner(workers=1, reuse_cars=True).run(scenario, 24, seed=SEED)
+        fresh = _run(scenario, 24, workers=1, reuse_cars=False)
+        pooled = _run(scenario, 24, workers=1, reuse_cars=True)
         assert fresh.fingerprint() == pooled.fingerprint()
         assert fresh.frames_transmitted == pooled.frames_transmitted
         assert fresh.frames_blocked == pooled.frames_blocked
         assert fresh.attacks_mitigated == pooled.attacks_mitigated
 
     def test_pooled_matches_fresh_across_worker_counts(self):
-        reference = FleetRunner(workers=1, reuse_cars=False).run(
-            "fleet_replay_storm", 24, seed=SEED
-        )
+        reference = _run("fleet_replay_storm", 24, workers=1, reuse_cars=False)
         for workers in (1, 4):
-            pooled = FleetRunner(workers=workers, reuse_cars=True).run(
-                "fleet_replay_storm", 24, seed=SEED
-            )
+            pooled = _run("fleet_replay_storm", 24, workers=workers, reuse_cars=True)
             assert pooled.fingerprint() == reference.fingerprint(), workers
 
     def test_compiled_and_object_paths_agree_pooled(self):
-        compiled = FleetRunner(workers=1, reuse_cars=True, compile_tables=True).run(
-            "staggered_ota_rollout", 16, seed=SEED
+        compiled = _run(
+            "staggered_ota_rollout", 16, workers=1, reuse_cars=True, compile_tables=True
         )
-        object_path = FleetRunner(workers=1, reuse_cars=True, compile_tables=False).run(
-            "staggered_ota_rollout", 16, seed=SEED
+        object_path = _run(
+            "staggered_ota_rollout", 16, workers=1, reuse_cars=True, compile_tables=False
         )
         assert compiled.fingerprint() == object_path.fingerprint()
 
     def test_build_seconds_split_out_of_wall_seconds(self):
-        result = FleetRunner(workers=1, reuse_cars=False).run(
-            "baseline_cruise", 6, seed=SEED
-        )
+        result = _run("baseline_cruise", 6, workers=1, reuse_cars=False)
         assert result.build_wall_seconds > 0.0
         assert result.simulation_wall_seconds > 0.0
         assert result.sim_vehicles_per_second >= result.vehicles_per_second

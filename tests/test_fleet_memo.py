@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExperimentConfig, FleetSession
+from repro.can.trace import TraceLevel
 from repro.casestudy.builder import CaseStudyBuilder
 from repro.fleet import runner
 from repro.fleet.resilience import FaultPlan
@@ -34,7 +35,13 @@ from repro.fleet.scenarios import (
     get_scenario,
     registered_scenarios,
 )
-from repro.fleet.transfer import OutcomeBlock, SpecBlock, read_block, write_block
+from repro.fleet.transfer import (
+    SPEC_TRANSFER_MODES,
+    OutcomeBlock,
+    SpecBlock,
+    read_block,
+    write_block,
+)
 
 SCENARIO_NAMES = [scenario.name for scenario in registered_scenarios()]
 
@@ -63,9 +70,7 @@ class _CountingSimulate:
 def _memo_run(specs, memo=None):
     memo = OutcomeMemo() if memo is None else memo
     simulate = _CountingSimulate()
-    outcomes = list(
-        memo.outcomes(specs, simulate, runner.DEFAULT_FLEET_INBOX_LIMIT)
-    )
+    outcomes = list(memo.outcomes(specs, simulate))
     return outcomes, simulate.calls
 
 
@@ -114,17 +119,23 @@ class TestSeedRule:
         assert kernel_runs == 1
         assert _tuples(outcomes) == _object_tuples(specs)
 
-    def test_inbox_limit_is_part_of_the_key(self):
-        spec = _spec(0, [VehicleAction(0.0, "drive", {})])
-        assert OutcomeMemo.key(spec, 512) != OutcomeMemo.key(spec, None)
+    def test_inbox_limit_is_not_part_of_the_key(self):
+        # Inbox retention cannot move an outcome (the inbox-limit probes
+        # in test_fleet_trace_levels.py), so runs at different bounds
+        # share one session's memo.
+        config = ExperimentConfig(scenario="baseline_cruise", vehicles=12, seed=2018)
+        with FleetSession(config) as session:
+            bounded = session.run_config(config.with_overrides(inbox_limit=1))
+            unbounded = session.run_config(config.with_overrides(inbox_limit=None))
+        assert bounded.kernel_runs > 0
+        assert unbounded.kernel_runs == 0
+        assert unbounded.fingerprint() == bounded.fingerprint()
 
 
 class TestKey:
     def test_vehicle_id_is_not_part_of_the_key(self):
         actions = [VehicleAction(0.0, "drive", {"accel": 60})]
-        assert OutcomeMemo.key(_spec(0, actions), None) == OutcomeMemo.key(
-            _spec(41, actions), None
-        )
+        assert OutcomeMemo.key(_spec(0, actions)) == OutcomeMemo.key(_spec(41, actions))
 
     @pytest.mark.parametrize(
         "field, value",
@@ -140,7 +151,7 @@ class TestKey:
         base = _spec(0, [VehicleAction(0.0, "drive", {"accel": 60})])
         assert getattr(base, field) != value
         other = dataclasses.replace(base, vehicle_id=1, **{field: value})
-        assert OutcomeMemo.key(base, None) != OutcomeMemo.key(other, None)
+        assert OutcomeMemo.key(base) != OutcomeMemo.key(other)
         outcomes, kernel_runs = _memo_run([base, other])
         assert kernel_runs == 2
         assert _tuples(outcomes) == _object_tuples([base, other])
@@ -153,9 +164,8 @@ class TestKey:
             for i in range(4)
         ]
         decoded = SpecBlock.from_bytes(SpecBlock.encode(specs).to_bytes()).decode()
-        limit = runner.DEFAULT_FLEET_INBOX_LIMIT
-        assert {OutcomeMemo.key(spec, limit) for spec in specs + decoded} == {
-            OutcomeMemo.key(specs[0], limit)
+        assert {OutcomeMemo.key(spec) for spec in specs + decoded} == {
+            OutcomeMemo.key(specs[0])
         }
         outcomes, kernel_runs = _memo_run(specs + decoded)
         assert kernel_runs == 1
@@ -233,8 +243,7 @@ def _split_run(memo, chunks):
     once.
     """
     in_flight = {}
-    limit = runner.DEFAULT_FLEET_INBOX_LIMIT
-    planned = [memo.split(chunk, limit, in_flight) for chunk in chunks]
+    planned = [memo.split(chunk, in_flight) for chunk in chunks]
     outcomes, kernel_runs = [], 0
     for plan, misses in planned:
         kernel_runs += len(misses)
@@ -255,7 +264,7 @@ class TestSplitJoin:
             else:
                 actions = [VehicleAction(0.0, "drive", {"accel": 40 + 10 * (i % 2)})]
             specs.append(_spec(i, actions, seed=100 + i))
-        _, misses = OutcomeMemo().split(specs, runner.DEFAULT_FLEET_INBOX_LIMIT, {})
+        _, misses = OutcomeMemo().split(specs, {})
         assert [spec.vehicle_id for spec in misses] == [0, 1, 2, 5, 8]
         outcomes, kernel_runs = _split_run(OutcomeMemo(), [specs])
         assert kernel_runs == 5
@@ -268,7 +277,7 @@ class TestSplitJoin:
         specs, copies = _reseeded_fleet("baseline_cruise")
         memo = OutcomeMemo()
         _split_run(memo, [specs])
-        plan, misses = memo.split(copies, runner.DEFAULT_FLEET_INBOX_LIMIT, {})
+        plan, misses = memo.split(copies, {})
         assert misses == []
         outcomes = list(memo.join(plan, [], {}))
         assert all(o.memo_hit for o in outcomes)
@@ -279,7 +288,7 @@ class TestSplitJoin:
         # Both chunks are split before either is joined: the copies find
         # every key in flight, so their chunk has nothing to run.
         outcomes, kernel_runs = _split_run(OutcomeMemo(), [specs, copies])
-        distinct = {OutcomeMemo.key(s, runner.DEFAULT_FLEET_INBOX_LIMIT) for s in specs}
+        distinct = {OutcomeMemo.key(s) for s in specs}
         assert kernel_runs == len(distinct)
         assert _tuples(outcomes) == _object_tuples(specs + copies)
         assert all(o.memo_hit for o in outcomes[len(specs):])
@@ -299,10 +308,10 @@ class TestSplitJoin:
     def test_the_memo_pins_no_outcome_it_hands_out(self):
         specs, copies = _reseeded_fleet("baseline_cruise")
         memo = OutcomeMemo()
-        limit = runner.DEFAULT_FLEET_INBOX_LIMIT
         handed = _split_run(memo, [specs])[0]
-        handed += memo.outcomes(copies, simulate_vehicle, limit)
-        handed += memo.outcomes(specs, simulate_vehicle, None)  # inline misses
+        handed += memo.outcomes(copies, simulate_vehicle)
+        unseen = [dataclasses.replace(spec, scenario="unseen") for spec in specs]
+        handed += memo.outcomes(unseen, simulate_vehicle)  # inline misses
         refs = [weakref.ref(outcome) for outcome in handed]
         del handed
         gc.collect()
@@ -491,7 +500,7 @@ class TestMemoOnEqualsMemoOff:
         outcomes, kernel_runs = _memo_run(specs)
         assert _tuples(outcomes) == _object_tuples(specs)
         assert kernel_runs == len(
-            {OutcomeMemo.key(spec, runner.DEFAULT_FLEET_INBOX_LIMIT) for spec in specs}
+            {OutcomeMemo.key(spec) for spec in specs}
         )
 
     @settings(max_examples=10, deadline=None)
@@ -567,7 +576,7 @@ class TestSessions:
         with FleetSession(config) as session:
             specs = session.vehicle_specs()
             result = session.run()
-        distinct = {OutcomeMemo.key(spec, config.inbox_limit) for spec in specs}
+        distinct = {OutcomeMemo.key(spec) for spec in specs}
         assert result.kernel_runs == len(distinct)
         assert result.fingerprint() == faithful_fingerprints["fuzz_probe"]
 
@@ -615,7 +624,7 @@ def _first_occurrences_per_chunk(config):
     size = config.effective_chunk_size()
     seen, counts = set(), []
     for start in range(0, len(specs), size):
-        keys = {OutcomeMemo.key(spec, config.inbox_limit) for spec in specs[start:start + size]}
+        keys = {OutcomeMemo.key(spec) for spec in specs[start:start + size]}
         counts.append(len(keys - seen))
         seen |= keys
     return counts
@@ -631,27 +640,53 @@ def repeating():
     )
 
 
+#: All ten execution fields.  Chunk timeouts are off or far above any
+#: chunk's runtime, so no drawn plan can fail a run.
+EXECUTION_PLANS = st.fixed_dictionaries(
+    {
+        "trace_level": st.sampled_from(list(TraceLevel)),
+        "inbox_limit": st.sampled_from([1, runner.DEFAULT_FLEET_INBOX_LIMIT, None]),
+        "workers": st.sampled_from([1, 2, 4]),
+        "chunk_size": st.sampled_from([4, None]),
+        "spec_transfer": st.sampled_from(SPEC_TRANSFER_MODES),
+        "reuse_cars": st.booleans(),
+        "compile_tables": st.booleans(),
+        "retry": st.integers(min_value=0, max_value=2),
+        "chunk_timeout_s": st.sampled_from([None, 600.0]),
+        "degrade": st.booleans(),
+    }
+)
+
+
 class TestOneMemoPerSession:
     """Parallel runs consult the session's memo before dispatch, so the
     kernel runs are one per distinct key at any worker count."""
 
     @settings(max_examples=12, deadline=None)
     @given(
-        workers=st.sampled_from([1, 2, 4]),
-        transfer=st.sampled_from(["shm", "pickle"]),
-        chunk_size=st.sampled_from([4, None]),
+        name=st.sampled_from(SCENARIO_NAMES),
+        plan=EXECUTION_PLANS,
+        other_plan=EXECUTION_PLANS,
     )
     def test_kernel_runs_and_fingerprint_are_invariant_under_execution_plans(
-        self, repeating, workers, transfer, chunk_size
+        self, faithful_fingerprints, name, plan, other_plan
     ):
-        fingerprint, distinct = repeating
-        config = ExperimentConfig(
-            **REPEATING, workers=workers, spec_transfer=transfer, chunk_size=chunk_size
-        )
-        with FleetSession(config) as session:
-            result = session.run()
-        assert result.kernel_runs == distinct
-        assert result.fingerprint() == fingerprint
+        # The fleet fingerprint is a function of the experiment alone,
+        # and so is the config hash.
+        configs = [
+            ExperimentConfig(scenario=name, vehicles=24, seed=2018, **execution)
+            for execution in (plan, other_plan)
+        ]
+        assert configs[0].config_hash() == configs[1].config_hash()
+        for config in configs:
+            with FleetSession(config) as session:
+                specs = session.vehicle_specs()
+                result = session.run()
+            assert result.fingerprint() == faithful_fingerprints[name]
+            if memo_applies(config.trace_level, config.compile_tables):
+                assert result.kernel_runs == len({OutcomeMemo.key(spec) for spec in specs})
+            else:
+                assert result.kernel_runs == result.vehicles
 
     def test_eviction_cannot_break_a_parallel_stream(self, repeating, monkeypatch):
         monkeypatch.setattr(runner, "MEMO_LIMIT", 1)

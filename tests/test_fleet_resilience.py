@@ -324,7 +324,7 @@ def _chunk_with_nothing_to_run(config: ExperimentConfig) -> int:
         specs = session.vehicle_specs()
     size, seen = config.chunk_size, set()
     for start in range(0, len(specs), size):
-        keys = {OutcomeMemo.key(spec, config.inbox_limit) for spec in specs[start:start + size]}
+        keys = {OutcomeMemo.key(spec) for spec in specs[start:start + size]}
         if keys <= seen:
             return start // size
         seen |= keys

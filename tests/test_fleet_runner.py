@@ -8,8 +8,8 @@ from repro.api import ExperimentConfig, FleetSession
 from repro.casestudy.builder import CaseStudyBuilder
 from repro.core.updates import PolicyUpdateBundle
 from repro.fleet import runner
-from repro.fleet.runner import FleetRunner, config_for_label, simulate_vehicle
-from repro.fleet.scenarios import VehicleAction, VehicleSpec, get_scenario
+from repro.fleet.runner import config_for_label, simulate_vehicle
+from repro.fleet.scenarios import VehicleAction, VehicleSpec
 
 #: Small fleet sizes keep the multiprocessing tests fast while still
 #: exercising chunking across several workers.
@@ -92,37 +92,28 @@ class TestSimulateVehicle:
         assert first.deterministic_tuple() == second.deterministic_tuple()
 
 
-class TestFleetRunner:
+def _run(scenario, vehicles, seed, **execution):
+    config = ExperimentConfig(scenario=scenario, vehicles=vehicles, seed=seed, **execution)
+    with FleetSession(config) as session:
+        return session.run()
+
+
+class TestFleetRuns:
     def test_workers_must_be_positive(self):
         with pytest.raises(ValueError):
-            FleetRunner(workers=0)
-
-    def test_run_accepts_scenario_name_or_object(self):
-        by_name = FleetRunner().run("baseline_cruise", SMALL_FLEET, seed=3)
-        by_object = FleetRunner().run(get_scenario("baseline_cruise"), SMALL_FLEET, seed=3)
-        assert by_name.fingerprint() == by_object.fingerprint()
-        assert by_name.vehicles == SMALL_FLEET
+            ExperimentConfig(scenario="baseline_cruise", vehicles=1, workers=0)
 
     def test_parallel_aggregates_are_bit_identical_to_serial(self):
-        serial = FleetRunner(workers=1).run("mixed_ev_dos", SMALL_FLEET, seed=42)
-        parallel = FleetRunner(workers=4, chunk_size=2).run(
-            "mixed_ev_dos", SMALL_FLEET, seed=42
-        )
+        serial = _run("mixed_ev_dos", SMALL_FLEET, seed=42, workers=1)
+        parallel = _run("mixed_ev_dos", SMALL_FLEET, seed=42, workers=4, chunk_size=2)
         assert serial.fingerprint() == parallel.fingerprint()
         assert serial.frames_transmitted == parallel.frames_transmitted
         assert serial.frames_blocked == parallel.frames_blocked
         assert serial.latency_p99_s == parallel.latency_p99_s
         assert serial.enforcement_mix == parallel.enforcement_mix
 
-    def test_run_many_uses_globally_unique_vehicle_ids(self):
-        results = FleetRunner().run_many(
-            ("baseline_cruise", "fuzz_probe"), vehicles_each=4, seed=1
-        )
-        assert set(results) == {"baseline_cruise", "fuzz_probe"}
-        assert all(result.vehicles == 4 for result in results.values())
-
     def test_wall_clock_throughput_is_reported(self):
-        result = FleetRunner().run("baseline_cruise", SMALL_FLEET, seed=3)
+        result = _run("baseline_cruise", SMALL_FLEET, seed=3)
         assert result.wall_seconds > 0
         assert result.frames_per_second > 0
         assert result.vehicles_per_second > 0

@@ -2,15 +2,13 @@
 shared-memory transport, lazy spec streaming, and fingerprint parity
 across ``spec_transfer`` modes, worker counts and spec paths."""
 
-import warnings
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExperimentConfig, FleetSession
 from repro.fleet.results import OUTCOME_COLUMNS, VehicleOutcome
-from repro.fleet.runner import FleetRunner, _chunked
+from repro.fleet.runner import _chunked
 from repro.fleet.scenarios import (
     FleetScenario,
     VehicleAction,
@@ -238,7 +236,7 @@ class TestChunkedLaziness:
 class TestFingerprintParity:
     """The acceptance sweep: one fingerprint per (scenario, seed)
     regardless of spec_transfer mode, worker count, or whether specs
-    were streamed, materialised or pushed through the legacy shim."""
+    were streamed or materialised."""
 
     SEED = 7
     VEHICLES = 10
@@ -264,74 +262,17 @@ class TestFingerprintParity:
                 materialised = session.run_specs(specs, name)
                 assert materialised.fingerprint() in fingerprints, name
 
-    def test_legacy_shim_matches_the_shm_default(self):
+    def test_materialised_parallel_specs_match_the_shm_default(self):
         config = ExperimentConfig(
             scenario="mixed_ev_dos", vehicles=self.VEHICLES, seed=self.SEED,
             workers=4, chunk_size=3,
         )
         with FleetSession(config) as session:
             modern = session.run()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = FleetRunner(workers=4, chunk_size=3).run(
-                "mixed_ev_dos", self.VEHICLES, seed=self.SEED
-            )
-        assert modern.fingerprint() == legacy.fingerprint()
-
-
-class TestRunMatrixSpecReuse:
-    def test_consecutive_matching_entries_generate_specs_once(self):
-        calls = {"count": 0}
-
-        def counting_script(index, rng):
-            calls["count"] += 1
-            return (VehicleAction(0.0, "drive", {"accel": 50}),)
-
-        scenario = FleetScenario(
-            name="matrix_reuse_probe",
-            description="counts script invocations",
-            duration_s=0.05,
-            mix=(("unprotected", 1.0),),
-            script=counting_script,
-        )
-        base = ExperimentConfig(scenario="matrix_reuse_probe", vehicles=6, seed=1)
-        with temporary_scenario(scenario), FleetSession(base) as session:
-            results = session.run_matrix(
-                [
-                    {"trace_level": "counters"},
-                    {"trace_level": "full"},  # same fleet: cached stream
-                    {"reuse_cars": False},  # same fleet: cached stream
-                    {"seed": 2},  # different fleet: regenerates
-                ]
-            )
-        assert calls["count"] == 6 * 2  # two distinct fleets, not four
-        assert len(results) == 4
-        fingerprints = [result.fingerprint() for _, result in results]
-        assert fingerprints[0] == fingerprints[1] == fingerprints[2]
-
-
-    def test_fleets_beyond_the_cache_limit_are_not_recorded(self, monkeypatch):
-        """run_matrix must not rematerialise huge fleets for reuse:
-        past SPEC_CACHE_LIMIT the recording is abandoned and every
-        entry pays generation, keeping the parent O(chunk)."""
-        calls = {"count": 0}
-
-        def counting_script(index, rng):
-            calls["count"] += 1
-            return (VehicleAction(0.0, "drive", {"accel": 50}),)
-
-        scenario = FleetScenario(
-            name="matrix_cache_cap_probe",
-            description="counts script invocations",
-            duration_s=0.05,
-            mix=(("unprotected", 1.0),),
-            script=counting_script,
-        )
-        monkeypatch.setattr(FleetSession, "SPEC_CACHE_LIMIT", 4)
-        base = ExperimentConfig(scenario="matrix_cache_cap_probe", vehicles=6, seed=1)
-        with temporary_scenario(scenario), FleetSession(base) as session:
-            session.run_matrix([{"trace_level": "counters"}, {"trace_level": "full"}])
-        assert calls["count"] == 6 * 2  # same fleet, but too big to cache
+        specs = get_scenario("mixed_ev_dos").vehicle_specs(self.VEHICLES, self.SEED)
+        with FleetSession(config) as session:
+            materialised = session.run_specs(specs, "mixed_ev_dos")
+        assert modern.fingerprint() == materialised.fingerprint()
 
 
 class TestLazySessionStream:

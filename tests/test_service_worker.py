@@ -50,6 +50,20 @@ class TestDrain:
         assert store.counts()["done"] == 3
         assert store.cache_stats() == {"entries": 2, "hits": 1}
 
+    def test_presets_of_one_experiment_simulate_once(self, store):
+        presets = [
+            ExperimentConfig.preset(name, "mixed_ev_dos", 40, seed=2018)
+            for name in ("debug", "throughput", "faithful")
+        ]
+        jobs = [store.submit(config)[0] for config in presets]
+        with DrainWorker(store, name="w0") as worker:
+            assert worker.drain() == 3
+        snapshot = worker.registry.snapshot()
+        assert snapshot.counter("service.runs") == 1
+        assert snapshot.counter("service.cache_hits") == 2
+        fingerprints = {store.result_for(job.config_hash).fingerprint() for job in jobs}
+        assert fingerprints == {foreground_fingerprint(presets[-1])}
+
     def test_cached_result_is_bit_identical_to_foreground(self, store):
         store.submit(CONFIG)
         with DrainWorker(store, name="w0") as worker:

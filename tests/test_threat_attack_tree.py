@@ -163,3 +163,24 @@ class TestAnalysis:
         tree.add_child("goal", AttackTreeNode("a", feasibility=1.0))
         tree.add_child("goal", AttackTreeNode("b", feasibility=0.0))
         assert tree.goal_feasibility() == pytest.approx(0.0)
+
+    @pytest.mark.parametrize(
+        "analysis",
+        ["goal_feasibility", "cheapest_path_cost", "attack_scenarios", "mitigated_feasibility"],
+    )
+    def test_unrefined_goals_are_refused(self, analysis):
+        def run(tree):
+            method = getattr(tree, analysis)
+            return method([]) if analysis == "mitigated_feasibility" else method()
+
+        with pytest.raises(ValueError, match=r"\['g'\]"):
+            run(AttackTree(AttackTreeNode("g", NodeType.OR)))
+        tree = AttackTree(AttackTreeNode("goal", NodeType.OR))
+        tree.add_child("goal", AttackTreeNode("a", feasibility=0.5))
+        tree.add_child("goal", AttackTreeNode("sub", NodeType.AND))
+        with pytest.raises(ValueError, match=r"\['sub'\]"):
+            run(tree)
+        # Still listed among the childless nodes, and scored once refined.
+        assert [leaf.name for leaf in tree.leaves()] == ["a", "sub"]
+        tree.add_child("sub", AttackTreeNode("b", feasibility=0.5))
+        run(tree)
