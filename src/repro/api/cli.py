@@ -3,7 +3,10 @@
 The CLI is a thin veneer over :class:`~repro.api.config.ExperimentConfig`
 and :class:`~repro.api.session.FleetSession`: flags build the exact same
 config object the Python API takes, so a shell run is as reproducible as
-a scripted one (identical config, identical fleet fingerprint).
+a scripted one (identical config, identical fleet fingerprint).  One
+table, :data:`CONFIG_FLAGS`, gives each config field its flag, so the
+"reproduce with" line of ``fleet run`` states every field.  ``--param``
+accepts only the parameters the scenario declares (else exit code 2).
 
 Commands::
 
@@ -42,10 +45,11 @@ import argparse
 import json
 import signal
 import sys
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.api.config import PRESETS, ExperimentConfig
 from repro.api.session import FleetSession
+from repro.can.trace import TraceLevel
 from repro.fleet.resilience import FaultPlan, FleetExecutionError
 from repro.fleet.scenarios import get_scenario, registered_scenarios
 from repro.fleet.transfer import SPEC_TRANSFER_MODES
@@ -64,10 +68,6 @@ PROG = "repro"
 
 #: Default endpoint the ``jobs`` client verbs talk to.
 DEFAULT_SERVICE_URL = "http://127.0.0.1:8320"
-
-#: Sentinel distinguishing "--inbox-limit none" (an explicit None) from
-#: the flag not being passed at all.
-_UNSET = object()
 
 
 # ---------------------------------------------------------------------------
@@ -89,125 +89,144 @@ def _parse_param(text: str) -> tuple[str, object]:
     return key, value
 
 
-def _parse_inbox_limit(text: str) -> int | None:
-    """Parse ``--inbox-limit`` (a positive integer, or ``none``)."""
-    if text.lower() == "none":
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer or 'none', got {text!r}"
-        ) from None
+def _or_none(parse: Callable[[str], object]) -> Callable[[str], object]:
+    """*parse*, except that ``none`` (any case) reads as ``None``."""
+
+    def parse_or_none(text: str) -> object:
+        return None if text.lower() == "none" else parse(text)
+
+    parse_or_none.__name__ = parse.__name__  # argparse names it in errors
+    return parse_or_none
 
 
-def _parse_chunk_timeout(text: str) -> float | None:
-    """Parse ``--chunk-timeout`` (seconds, or ``none`` to wait forever)."""
-    if text.lower() == "none":
-        return None
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected seconds or 'none', got {text!r}"
-        ) from None
+_TOGGLE = {"action": argparse.BooleanOptionalAction}
+
+#: The CLI form of every :class:`ExperimentConfig` field, as
+#: ``field: (flag, argparse options, help)``.  This one table builds the
+#: parser (:func:`_add_config_flags`), resolves the flags into a config
+#: (:func:`_resolve_config`) and renders a config back into flags
+#: (:func:`config_arguments`, behind ``ExperimentConfig.cli_arguments``).
+CONFIG_FLAGS: dict[str, tuple[str, dict, str]] = {
+    "scenario": ("--scenario", {}, "registered fleet scenario name"),
+    "vehicles": ("--vehicles", {"type": int}, "fleet size"),
+    "seed": ("--seed", {"type": int}, "master seed (default 0)"),
+    "first_vehicle_id": (
+        "--first-vehicle-id", {"type": int}, "id of the first vehicle"
+    ),
+    "enforcement": (
+        "--enforcement",
+        {"type": _or_none(str), "metavar": "LABEL|none"},
+        "fleet-wide enforcement label overriding the scenario mix "
+        "('none', the default, keeps the mix)",
+    ),
+    "scenario_parameters": (
+        "--param",
+        {"action": "append", "type": _parse_param, "metavar": "KEY=VALUE"},
+        "override a parameter the scenario declares (VALUE parsed as JSON; "
+        "repeatable); a KEY the scenario does not declare is refused",
+    ),
+    "trace_level": (
+        "--trace-level",
+        {"choices": [level.value for level in TraceLevel]},
+        "bus-trace retention (fingerprints identical across levels)",
+    ),
+    "inbox_limit": (
+        "--inbox-limit",
+        {"type": _or_none(int), "metavar": "N|none"},
+        "per-node inbox retention ('none' keeps every frame)",
+    ),
+    "workers": ("--workers", {"type": int}, "worker processes"),
+    "chunk_size": (
+        "--chunk-size",
+        {"type": _or_none(int), "metavar": "N|none"},
+        "vehicles per work item ('none', the default, sizes chunks from "
+        "the fleet size and worker count)",
+    ),
+    "spec_transfer": (
+        "--spec-transfer",
+        {"choices": list(SPEC_TRANSFER_MODES)},
+        "how spec chunks reach workers: 'shm' moves columnar blocks "
+        "through shared memory (default; falls back to pickle where "
+        "unavailable), 'pickle' sends pickled lists -- fingerprints "
+        "are identical either way",
+    ),
+    "reuse_cars": (
+        "--reuse-cars",
+        _TOGGLE,
+        "reset one warm car per configuration between vehicles",
+    ),
+    "compile_tables": (
+        "--compile-tables", _TOGGLE, "use compiled bitmask decision tables"
+    ),
+    "retry": (
+        "--max-retries",
+        {"type": int, "metavar": "N"},
+        "re-executions of a failed chunk before giving up (0 disables)",
+    ),
+    "chunk_timeout_s": (
+        "--chunk-timeout",
+        {"type": _or_none(float), "metavar": "SECONDS|none"},
+        "per-chunk deadline after which the worker counts as dead or "
+        "hung and the chunk is re-queued ('none' waits forever)",
+    ),
+    "degrade": (
+        "--degrade",
+        _TOGGLE,
+        "degrade gracefully (shm->pickle, then parallel->inline) when "
+        "retries exhaust, instead of aborting the run",
+    ),
+}
 
 
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    """The flags that map one-to-one onto ExperimentConfig fields.
+    """``--config``, ``--preset`` and one flag per :data:`CONFIG_FLAGS` row.
 
-    Defaults are ``None`` sentinels so only flags the user actually
-    passed override the preset / config-file / dataclass defaults.
+    A field flag the user did not pass sets nothing (``SUPPRESS``), so
+    only passed flags override the preset / config-file / dataclass
+    defaults (:func:`_resolve_config`).
     """
-    parser.add_argument("--scenario", help="registered fleet scenario name")
-    parser.add_argument("--vehicles", type=int, help="fleet size")
-    parser.add_argument("--seed", type=int, default=None, help="master seed (default 0)")
     parser.add_argument(
-        "--first-vehicle-id", type=int, default=None, help="id of the first vehicle"
+        "--config",
+        dest="config_file",
+        metavar="PATH",
+        help="load an ExperimentConfig JSON file (flags override its fields)",
     )
     parser.add_argument(
-        "--enforcement",
-        default=None,
-        help="fleet-wide enforcement label overriding the scenario mix",
+        "--preset",
+        choices=sorted(PRESETS),
+        help="start from a named preset (flags override its fields)",
     )
-    parser.add_argument(
-        "--trace-level",
-        choices=["full", "ring", "counters"],
-        default=None,
-        help="bus-trace retention (fingerprints identical across levels)",
-    )
-    parser.add_argument(
-        "--inbox-limit",
-        type=_parse_inbox_limit,
-        default=_UNSET,
-        metavar="N|none",
-        help="per-node inbox retention ('none' keeps every frame)",
-    )
-    parser.add_argument("--workers", type=int, default=None, help="worker processes")
-    parser.add_argument(
-        "--chunk-size", type=int, default=None, help="vehicles per work item"
-    )
-    parser.add_argument(
-        "--spec-transfer",
-        choices=list(SPEC_TRANSFER_MODES),
-        default=None,
-        help=(
-            "how spec chunks reach workers: 'shm' moves columnar blocks "
-            "through shared memory (default; falls back to pickle where "
-            "unavailable), 'pickle' sends pickled lists -- fingerprints "
-            "are identical either way"
-        ),
-    )
-    parser.add_argument(
-        "--reuse-cars",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="reset one warm car per configuration between vehicles",
-    )
-    parser.add_argument(
-        "--compile-tables",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help="use compiled bitmask decision tables",
-    )
-    parser.add_argument(
-        "--max-retries",
-        type=int,
-        default=None,
-        metavar="N",
-        help="re-executions of a failed chunk before giving up (0 disables)",
-    )
-    parser.add_argument(
-        "--chunk-timeout",
-        type=_parse_chunk_timeout,
-        default=_UNSET,
-        metavar="SECONDS|none",
-        help=(
-            "per-chunk deadline after which the worker counts as dead or "
-            "hung and the chunk is re-queued ('none' waits forever)"
-        ),
-    )
-    parser.add_argument(
-        "--degrade",
-        action=argparse.BooleanOptionalAction,
-        default=None,
-        help=(
-            "degrade gracefully (shm->pickle, then parallel->inline) when "
-            "retries exhaust, instead of aborting the run"
-        ),
-    )
-    parser.add_argument(
-        "--param",
-        action="append",
-        type=_parse_param,
-        default=None,
-        metavar="KEY=VALUE",
-        help=(
-            "scenario parameter override (VALUE parsed as JSON; repeatable). "
-            "Reaches parameter-aware scenario scripts and is recorded in the "
-            "config/report; built-in scenarios treat it as recorded metadata"
-        ),
-    )
+    for name, (flag, options, help_text) in CONFIG_FLAGS.items():
+        parser.add_argument(
+            flag, dest=name, default=argparse.SUPPRESS, help=help_text, **options
+        )
+
+
+def config_arguments(config: ExperimentConfig) -> list[str]:
+    """The flags that rebuild *config*: every field of :data:`CONFIG_FLAGS`.
+
+    An optional field that is unset reads ``none``, so the command pins
+    every execution setting, as the ``--json`` report does.
+    """
+    data = config.to_dict()
+    argv: list[str] = []
+    for name, (flag, options, _) in CONFIG_FLAGS.items():
+        value = data[name]
+        action = options.get("action")
+        if action is argparse.BooleanOptionalAction:
+            argv.append(flag if value else "--no-" + flag[2:])
+        elif action == "append":
+            for key, item in value.items():
+                encoded = json.dumps(item, separators=(",", ":"))
+                argv += _flag_value(flag, f"{key}={encoded}")
+        else:
+            argv += _flag_value(flag, "none" if value is None else str(value))
+    return argv
+
+
+def _flag_value(flag: str, text: str) -> list[str]:
+    # argparse reads a separate token that starts with '-' as an option.
+    return [f"{flag}={text}"] if text.startswith("-") else [flag, text]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,17 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     fleet_commands = fleet.add_subparsers(dest="subcommand", required=True)
     run = fleet_commands.add_parser(
         "run", help="run one experiment described by flags, a preset or a file"
-    )
-    run.add_argument(
-        "--config",
-        dest="config_file",
-        metavar="PATH",
-        help="load an ExperimentConfig JSON file (flags override its fields)",
-    )
-    run.add_argument(
-        "--preset",
-        choices=sorted(PRESETS),
-        help="start from a named preset (flags override its fields)",
     )
     _add_config_flags(run)
     run.add_argument(
@@ -317,8 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     show_config = config_commands.add_parser(
         "show", help="print the full config a set of flags resolves to"
     )
-    show_config.add_argument("--config", dest="config_file", metavar="PATH")
-    show_config.add_argument("--preset", choices=sorted(PRESETS))
     _add_config_flags(show_config)
     show_config.set_defaults(func=_cmd_config_show)
 
@@ -369,8 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
         "submit", help="submit one experiment (same flags as fleet run)"
     )
     submit.add_argument("--url", default=DEFAULT_SERVICE_URL, help="service endpoint")
-    submit.add_argument("--config", dest="config_file", metavar="PATH")
-    submit.add_argument("--preset", choices=sorted(PRESETS))
     _add_config_flags(submit)
     submit.add_argument("--priority", type=int, default=0)
     submit.add_argument(
@@ -438,37 +442,12 @@ def build_parser() -> argparse.ArgumentParser:
 # Config resolution
 # ---------------------------------------------------------------------------
 
-#: args attribute -> ExperimentConfig field for the one-to-one flags.
-_FLAG_FIELDS = (
-    ("scenario", "scenario"),
-    ("vehicles", "vehicles"),
-    ("seed", "seed"),
-    ("first_vehicle_id", "first_vehicle_id"),
-    ("enforcement", "enforcement"),
-    ("trace_level", "trace_level"),
-    ("workers", "workers"),
-    ("chunk_size", "chunk_size"),
-    ("spec_transfer", "spec_transfer"),
-    ("reuse_cars", "reuse_cars"),
-    ("compile_tables", "compile_tables"),
-    ("max_retries", "retry"),
-    ("degrade", "degrade"),
-)
-
 
 def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
     """Build the ExperimentConfig a ``fleet run``/``config show`` call means."""
-    overrides: dict[str, object] = {}
-    for attr, fieldname in _FLAG_FIELDS:
-        value = getattr(args, attr)
-        if value is not None:
-            overrides[fieldname] = value
-    if args.inbox_limit is not _UNSET:
-        overrides["inbox_limit"] = args.inbox_limit
-    if args.chunk_timeout is not _UNSET:
-        overrides["chunk_timeout_s"] = args.chunk_timeout
-    if args.param:
-        overrides["scenario_parameters"] = dict(args.param)
+    overrides = {
+        name: value for name, value in vars(args).items() if name in CONFIG_FLAGS
+    }
 
     if args.config_file:
         if args.preset:
@@ -483,8 +462,7 @@ def _resolve_config(args: argparse.Namespace) -> ExperimentConfig:
             data = data["config"]
         if not isinstance(data, dict):
             raise ValueError(f"{args.config_file}: expected a JSON object")
-        base = ExperimentConfig.from_dict(data)
-        return base.with_overrides(**overrides) if overrides else base
+        return ExperimentConfig.from_dict(data).with_overrides(**overrides)
 
     scenario = overrides.pop("scenario", None)
     vehicles = overrides.pop("vehicles", None)

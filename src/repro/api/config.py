@@ -44,7 +44,7 @@ from dataclasses import dataclass
 from repro.can.trace import TraceLevel
 from repro.fleet.resilience import RetryPolicy
 from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT
-from repro.fleet.scenarios import ENFORCEMENT_LABELS, _check_keys, _freeze
+from repro.fleet.scenarios import ENFORCEMENT_LABELS, _check_fields, _freeze
 from repro.fleet.transfer import SPEC_TRANSFER_MODES
 
 #: The fields that define an experiment: they decide the spec stream, so
@@ -59,6 +59,16 @@ EXPERIMENT_FIELDS = (
     "first_vehicle_id",
     "enforcement",
 )
+
+#: The values a field annotated so accepts, checked on construction: a
+#: ``--config`` file or service body is outside input.  ``bool`` is an
+#: ``int`` subclass, so it passes only where ``bool`` is named.
+_ANNOTATION_TYPES = {
+    "int": (int,),
+    "int | None": (int, type(None)),
+    "bool": (bool,),
+    "float | None": (int, float, type(None)),
+}
 
 #: Keys older configs carried that no longer mean anything: ``from_dict``
 #: drops them, so saved reports and queued service jobs still load.
@@ -131,13 +141,12 @@ class ExperimentConfig:
         mix (``"unprotected"``, ``"selinux-only"``, ``"hpe-only"``,
         ``"hpe+selinux"``); ``None`` keeps the per-vehicle mix draw.
     scenario_parameters:
-        Tunable overrides applied to the scenario via
-        :meth:`~repro.fleet.scenarios.FleetScenario.with_parameters`.
-        Parameter-aware script factories (those declaring a third
-        ``params`` argument) receive them and materialise a different
-        fleet; the built-in scripts take two arguments and close over
-        their defaults, so for them the overrides are recorded report
-        metadata only.
+        Overrides of parameters the scenario declares, applied via
+        :meth:`~repro.fleet.scenarios.FleetScenario.with_parameters`
+        when a session resolves the scenario.  Every scenario script
+        reads its parameters, so an override materialises a different
+        fleet; a name the scenario does not declare is refused there,
+        before any spec is generated.
     trace_level:
         Bus-trace retention for every vehicle.
     inbox_limit:
@@ -200,6 +209,13 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if not isinstance(self.scenario, str) or not self.scenario.strip():
             raise ValueError("scenario must be a non-empty scenario name")
+        for item in dataclasses.fields(self):
+            types = _ANNOTATION_TYPES.get(item.type, (object,))
+            value = getattr(self, item.name)
+            if not isinstance(value, types) or (
+                isinstance(value, bool) and bool not in types
+            ):
+                raise ValueError(f"{item.name} must be {item.type}, not {value!r}")
         if self.vehicles < 1:
             raise ValueError("vehicles must be >= 1")
         if self.first_vehicle_id < 0:
@@ -209,11 +225,8 @@ class ExperimentConfig:
                 f"unknown enforcement label {self.enforcement!r}; "
                 f"known: {ENFORCEMENT_LABELS}"
             )
-        items = (
-            self.scenario_parameters.items()
-            if isinstance(self.scenario_parameters, dict)
-            else self.scenario_parameters
-        )
+        # A mapping or (key, value) pairs; a repeated key keeps its last value.
+        items = dict(self.scenario_parameters).items()
         object.__setattr__(
             self,
             "scenario_parameters",
@@ -317,10 +330,7 @@ class ExperimentConfig:
         never changed a fingerprint.
         """
         data = {key: value for key, value in data.items() if key not in _LEGACY_KEYS}
-        fields = dataclasses.fields(cls)
-        required = tuple(f.name for f in fields if f.default is dataclasses.MISSING)
-        optional = tuple(f.name for f in fields if f.default is not dataclasses.MISSING)
-        _check_keys(data, "ExperimentConfig", required, optional)
+        _check_fields(data, cls)
         return cls(**data)
 
     def to_json(self, indent: int | None = 2) -> str:
@@ -372,46 +382,13 @@ class ExperimentConfig:
         ``python -m repro`` + these arguments runs the same experiment
         (and prints the same fingerprint) as handing the config to a
         :class:`~repro.api.session.FleetSession` -- the shell form of a
-        run is derivable from the Python form and vice versa.
+        run is derivable from the Python form and vice versa.  Every
+        field is stated (``none`` for an unset optional one), rendered
+        from the one flag table :data:`repro.api.cli.CONFIG_FLAGS`.
         """
-        args = [
-            "fleet",
-            "run",
-            "--scenario",
-            self.scenario,
-            "--vehicles",
-            str(self.vehicles),
-            "--seed",
-            str(self.seed),
-            "--workers",
-            str(self.workers),
-            "--trace-level",
-            self.trace_level.value,
-            "--inbox-limit",
-            "none" if self.inbox_limit is None else str(self.inbox_limit),
-            "--spec-transfer",
-            self.spec_transfer,
-            "--max-retries",
-            str(self.retry),
-            "--chunk-timeout",
-            "none" if self.chunk_timeout_s is None else str(self.chunk_timeout_s),
-        ]
-        if not self.degrade:
-            args += ["--no-degrade"]
-        if self.first_vehicle_id:
-            args += ["--first-vehicle-id", str(self.first_vehicle_id)]
-        if self.enforcement is not None:
-            args += ["--enforcement", self.enforcement]
-        if self.chunk_size is not None:
-            args += ["--chunk-size", str(self.chunk_size)]
-        if not self.reuse_cars:
-            args += ["--no-reuse-cars"]
-        if not self.compile_tables:
-            args += ["--no-compile-tables"]
-        for key, value in self.scenario_parameters:
-            encoded = json.dumps(value, default=list, separators=(",", ":"))
-            args += ["--param", f"{key}={encoded}"]
-        return args
+        from repro.api.cli import config_arguments  # the CLI imports this module
+
+        return ["fleet", "run", *config_arguments(self)]
 
     def cli_command(self) -> str:
         """The full shell command reproducing this config (shell-quoted)."""

@@ -20,18 +20,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field, fields
 
-
-def _check_result_keys(data: dict, kind: str, allowed: tuple[str, ...]) -> None:
-    """Reject unknown/missing keys with a precise error (mirrors
-    ``repro.fleet.scenarios._check_keys`` for the results layer)."""
-    unknown = sorted(set(data) - set(allowed))
-    if unknown:
-        raise ValueError(
-            f"unknown {kind} key(s) {unknown}; allowed keys: {sorted(allowed)}"
-        )
-    missing = sorted(set(allowed) - set(data))
-    if missing:
-        raise ValueError(f"missing required {kind} key(s) {missing}")
+from repro.fleet.scenarios import _check_keys
 
 
 @dataclass(frozen=True)
@@ -94,9 +83,7 @@ class VehicleOutcome:
     @classmethod
     def from_dict(cls, data: dict) -> "VehicleOutcome":
         """Rebuild an outcome serialised by :meth:`to_dict` (strict keys)."""
-        _check_result_keys(
-            data, "VehicleOutcome", tuple(f.name for f in fields(cls))
-        )
+        _check_keys(data, "VehicleOutcome", tuple(f.name for f in fields(cls)))
         return cls(**data)
 
 
@@ -259,7 +246,7 @@ class FleetResult:
         allowed = tuple(
             f.name for f in fields(cls) if f.name != "_fingerprint"
         ) + ("fingerprint",)
-        _check_result_keys(payload, "FleetResult", allowed)
+        _check_keys(payload, "FleetResult", allowed)
         fingerprint = payload.pop("fingerprint")
         payload["enforcement_mix"] = dict(payload.get("enforcement_mix", {}))
         return cls(_fingerprint=fingerprint, **payload)

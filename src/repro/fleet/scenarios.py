@@ -22,10 +22,9 @@ examples look them up with :func:`get_scenario`.
 
 from __future__ import annotations
 
-import inspect
 import random
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Callable, Iterator
 
 from repro.fleet.kernel import derive_seed
@@ -48,6 +47,13 @@ def _check_keys(
     missing = sorted(set(required) - set(data))
     if missing:
         raise ValueError(f"missing required {kind} key(s) {missing}")
+
+
+def _check_fields(data: dict, cls: type) -> None:
+    """:func:`_check_keys` on *cls*'s fields; those with a default are optional."""
+    optional = tuple(f.name for f in fields(cls) if f.default is not MISSING)
+    required = tuple(f.name for f in fields(cls) if f.name not in optional)
+    _check_keys(data, cls.__name__, required, optional)
 
 
 def _freeze(value: object) -> object:
@@ -110,7 +116,7 @@ class VehicleAction:
         typo'd key in a hand-written spec would otherwise produce a
         subtly different fleet.
         """
-        _check_keys(data, "VehicleAction", required=("time", "kind"), optional=("params",))
+        _check_fields(data, cls)
         return cls(
             time=float(data["time"]),
             kind=str(data["kind"]),
@@ -150,12 +156,7 @@ class VehicleSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "VehicleSpec":
         """Rebuild a spec serialised by :meth:`to_dict` (unknown keys rejected)."""
-        _check_keys(
-            data,
-            "VehicleSpec",
-            required=("vehicle_id", "scenario", "enforcement", "seed", "duration_s"),
-            optional=("actions",),
-        )
+        _check_fields(data, cls)
         return cls(
             vehicle_id=int(data["vehicle_id"]),
             scenario=str(data["scenario"]),
@@ -168,21 +169,10 @@ class VehicleSpec:
         )
 
 
-#: Builds one vehicle's action script from (vehicle index, seeded rng).
-#: A factory may declare a third ``params`` argument to receive the
-#: scenario's parameter dict -- such *parameter-aware* scripts respond
-#: to :meth:`FleetScenario.with_parameters` overrides (and therefore to
-#: ``ExperimentConfig.scenario_parameters`` / the CLI's ``--param``);
-#: two-argument factories treat parameters as recorded metadata only.
-ScriptFactory = Callable[..., tuple[VehicleAction, ...]]
-
-
-def _script_takes_params(script: ScriptFactory) -> bool:
-    """Whether *script* declares the optional third ``params`` argument."""
-    try:
-        return len(inspect.signature(script).parameters) >= 3
-    except (TypeError, ValueError):  # builtins / exotic callables
-        return False
+#: Builds one vehicle's action script from its index in the fleet, a
+#: seeded per-vehicle rng and the scenario's parameters: every declared
+#: name, with :meth:`FleetScenario.with_parameters` overrides applied.
+ScriptFactory = Callable[[int, random.Random, dict], tuple[VehicleAction, ...]]
 
 
 @dataclass(frozen=True)
@@ -201,15 +191,13 @@ class FleetScenario:
         ``(enforcement_label, weight)`` pairs; each vehicle draws its
         enforcement configuration from this distribution.
     script:
-        Factory producing a vehicle's action script from its index and
-        a per-vehicle seeded RNG; a factory declaring a third ``params``
-        argument also receives the scenario's parameter dict.
+        Factory producing a vehicle's action script from its index, a
+        per-vehicle seeded RNG and the scenario's parameter dict
+        (:data:`ScriptFactory`).
     parameters:
-        The scenario's tunable knobs.  Parameter-aware scripts (third
-        ``params`` argument) read them, so :meth:`with_parameters`
-        overrides change the materialised fleet; for two-argument
-        scripts (all built-ins -- they close over their defaults) the
-        knobs are recorded metadata for reports.
+        The scenario's tunable knobs and their defaults: the only names
+        the script may read, and the only names :meth:`with_parameters`
+        accepts.  An override changes the materialised fleet.
     """
 
     name: str
@@ -233,8 +221,15 @@ class FleetScenario:
                 raise ValueError(f"mix weight for {label!r} must be positive")
 
     def with_parameters(self, **overrides) -> "FleetScenario":
-        """A copy with updated tunables (for registering variants)."""
+        """A copy with some declared parameters overridden; an undeclared
+        name (which the script would never read) raises ValueError."""
         merged = dict(self.parameters)
+        unknown = sorted(set(overrides) - set(merged))
+        if unknown:
+            raise ValueError(
+                f"scenario {self.name!r} has no parameter(s) {unknown}; "
+                f"declared: {sorted(merged)}"
+            )
         merged.update(overrides)
         return replace(self, parameters=tuple(sorted(merged.items())))
 
@@ -261,7 +256,6 @@ class FleetScenario:
     ) -> Iterator[VehicleSpec]:
         labels = [label for label, _ in self.mix]
         weights = [weight for _, weight in self.mix]
-        takes_params = _script_takes_params(self.script)
         params = dict(self.parameters)
         for index in range(vehicles):
             vehicle_id = first_vehicle_id + index
@@ -273,11 +267,7 @@ class FleetScenario:
             script_rng = random.Random(
                 derive_seed(seed, f"{self.name}/script-{vehicle_id}")
             )
-            actions = (
-                self.script(index, script_rng, params)
-                if takes_params
-                else self.script(index, script_rng)
-            )
+            actions = self.script(index, script_rng, params)
             yield VehicleSpec(
                 vehicle_id=vehicle_id,
                 scenario=self.name,
@@ -324,10 +314,11 @@ def register_scenario(
       becomes the description unless one is given explicitly)::
 
           @register_scenario(name="rush_hour", duration_s=0.3,
-                             mix=(("hpe+selinux", 1.0),))
-          def rush_hour(index, rng):
+                             mix=(("hpe+selinux", 1.0),),
+                             parameters={"accel": 90})
+          def rush_hour(index, rng, params):
               '''Dense commuter traffic.'''
-              return (VehicleAction(0.0, "drive", {"accel": 90}),)
+              return (VehicleAction(0.0, "drive", {"accel": params["accel"]}),)
 
       The decorator returns the registered :class:`FleetScenario` (not
       the bare function), so the module attribute is the scenario itself.
@@ -417,14 +408,18 @@ def registered_scenarios() -> Iterator[FleetScenario]:
 # ---------------------------------------------------------------------------
 
 
-def _baseline_cruise_script(index: int, rng: random.Random) -> tuple[VehicleAction, ...]:
+def _baseline_cruise_script(
+    index: int, rng: random.Random, params: dict
+) -> tuple[VehicleAction, ...]:
     """Heterogeneous steady driving: pure frame-throughput workload."""
     return (
-        VehicleAction(0.0, "drive", {"accel": rng.randint(30, 90)}),
+        VehicleAction(0.0, "drive", {"accel": rng.randint(*params["accel_range"])}),
     )
 
 
-def _replay_storm_script(index: int, rng: random.Random) -> tuple[VehicleAction, ...]:
+def _replay_storm_script(
+    index: int, rng: random.Random, params: dict
+) -> tuple[VehicleAction, ...]:
     """Capture door-unlock traffic while parked, replay it in motion."""
     capture_at = round(rng.uniform(0.01, 0.05), 4)
     replay_at = round(rng.uniform(0.15, 0.25), 4)
@@ -434,16 +429,18 @@ def _replay_storm_script(index: int, rng: random.Random) -> tuple[VehicleAction,
             "replay",
             {
                 "capture_duration_s": 0.1,
-                "messages": ("DOOR_UNLOCK_CMD", "DOOR_LOCK_CMD"),
+                "messages": params["replay_messages"],
             },
         ),
         VehicleAction(replay_at, "attack", {"threat_id": "T13"}),
     )
 
 
-def _ota_rollout_script(index: int, rng: random.Random) -> tuple[VehicleAction, ...]:
+def _ota_rollout_script(
+    index: int, rng: random.Random, params: dict
+) -> tuple[VehicleAction, ...]:
     """Staggered post-deployment policy update under an active attacker."""
-    update_at = round(rng.uniform(0.08, 0.3), 4)
+    update_at = round(rng.uniform(*params["update_window_s"]), 4)
     return (
         VehicleAction(0.0, "drive", {"accel": rng.randint(40, 80)}),
         VehicleAction(0.05, "attack", {"threat_id": "T01"}),
@@ -452,9 +449,11 @@ def _ota_rollout_script(index: int, rng: random.Random) -> tuple[VehicleAction, 
     )
 
 
-def _mixed_ev_dos_script(index: int, rng: random.Random) -> tuple[VehicleAction, ...]:
+def _mixed_ev_dos_script(
+    index: int, rng: random.Random, params: dict
+) -> tuple[VehicleAction, ...]:
     """Targeted disablement plus arbitration flooding against the EV fleet."""
-    target = rng.choice(("EV-ECU", "Engine", "EPS"))
+    target = rng.choice(params["dos_targets"])
     return (
         VehicleAction(0.0, "drive", {"accel": rng.randint(50, 90)}),
         VehicleAction(
@@ -470,11 +469,13 @@ def _mixed_ev_dos_script(index: int, rng: random.Random) -> tuple[VehicleAction,
     )
 
 
-def _fuzz_probe_script(index: int, rng: random.Random) -> tuple[VehicleAction, ...]:
+def _fuzz_probe_script(
+    index: int, rng: random.Random, params: dict
+) -> tuple[VehicleAction, ...]:
     """Seeded random-frame fuzzing as a fleet-wide coverage probe."""
     return (
         VehicleAction(0.0, "drive", {"accel": rng.randint(30, 70)}),
-        VehicleAction(0.05, "fuzz", {"frames": rng.randint(40, 120)}),
+        VehicleAction(0.05, "fuzz", {"frames": rng.randint(*params["frames_range"])}),
     )
 
 

@@ -228,7 +228,6 @@ class TestFleetRun:
                 "--scenario", "baseline_cruise",
                 "--vehicles", "2",
                 "--param", "accel_range=[10, 20]",
-                "--param", "note=quick",
                 "--json", str(report),
             )
             == 0
@@ -237,8 +236,22 @@ class TestFleetRun:
         payload = json.loads(report.read_text())
         assert payload["config"]["scenario_parameters"] == {
             "accel_range": [10, 20],
-            "note": "quick",
         }
+
+    def test_undeclared_param_is_refused_naming_the_declared_ones(self, capsys):
+        assert (
+            run_cli(
+                "fleet", "run",
+                "--scenario", "staggered_ota_rollout",
+                "--vehicles", "2",
+                "--param", "no_such_knob=1",
+            )
+            == 2
+        )
+        captured = capsys.readouterr()
+        assert "no_such_knob" in captured.err
+        assert "update_window_s" in captured.err
+        assert "fingerprint" not in captured.out
 
     def test_missing_required_flags_fail_cleanly(self, capsys):
         assert run_cli("fleet", "run", "--scenario", "baseline_cruise") == 2

@@ -1,19 +1,36 @@
 """Tests for :class:`repro.api.config.ExperimentConfig`: validation,
 presets, serialisation round trips and the CLI-equivalence surface."""
 
+import argparse
 import dataclasses
 import json
+import shlex
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api.cli import build_parser
+from repro.api.cli import CONFIG_FLAGS, _resolve_config, build_parser
 from repro.api.config import EXPERIMENT_FIELDS, PRESETS, ExperimentConfig
 from repro.can.trace import TraceLevel
 from repro.core.enforcement import EnforcementConfig
 from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT
 from repro.fleet.scenarios import ENFORCEMENT_LABELS
+from repro.fleet.transfer import SPEC_TRANSFER_MODES
+
+
+INT_FIELDS = (
+    "vehicles", "seed", "first_vehicle_id", "workers", "retry",
+    "inbox_limit", "chunk_size",
+)
+TOGGLE_FIELDS = ("reuse_cars", "compile_tables", "degrade")
+
+#: Values a JSON config can carry that are the wrong type for the field.
+MISTYPED_FIELDS = (
+    [(name, bad) for name in INT_FIELDS for bad in (2.5, 2.0, True, "3")]
+    + [(name, bad) for name in TOGGLE_FIELDS for bad in (1, 0, None, "true")]
+    + [("chunk_timeout_s", True)]
+)
 
 
 class TestValidation:
@@ -42,6 +59,14 @@ class TestValidation:
         kwargs = {"scenario": "fleet_replay_storm", "vehicles": 10, **overrides}
         with pytest.raises(ValueError, match=match):
             ExperimentConfig(**kwargs)
+
+    @pytest.mark.parametrize("field, value", MISTYPED_FIELDS)
+    def test_mistyped_fields_raise(self, field, value):
+        # The path a --config file or a POST /experiments body takes.
+        data = {**ExperimentConfig(scenario="mixed_ev_dos", vehicles=8).to_dict(),
+                field: value}
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig.from_dict(data)
 
     def test_empty_scenario_raises(self):
         with pytest.raises(ValueError, match="scenario"):
@@ -410,6 +435,77 @@ class TestCliEquivalence:
         argv = shlex.split(config.cli_command())[3:]  # drop python -m repro
         args = build_parser().parse_args(argv)
         assert _resolve_config(args) == config
+
+
+#: Parameter values as JSON and ``--param`` carry them: scalars, lists
+#: and string-keyed mappings, nested.
+PARAM_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.text(max_size=8),
+    ),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+#: Every field over its domain.  ``--param`` splits KEY=VALUE at the
+#: first ``=``, so a key holds none.
+CONFIGS = st.builds(
+    ExperimentConfig,
+    scenario=st.text(min_size=1, max_size=12).filter(str.strip),
+    vehicles=st.integers(min_value=1, max_value=10**6),
+    seed=st.integers(min_value=-(2**63), max_value=2**63),
+    first_vehicle_id=st.integers(min_value=0, max_value=10**6),
+    enforcement=st.sampled_from((None,) + ENFORCEMENT_LABELS),
+    scenario_parameters=st.dictionaries(
+        st.text(min_size=1, max_size=8).filter(lambda key: "=" not in key),
+        PARAM_VALUES,
+        max_size=3,
+    ),
+    trace_level=st.sampled_from(list(TraceLevel)),
+    inbox_limit=st.one_of(st.none(), st.integers(min_value=1, max_value=10**5)),
+    workers=st.integers(min_value=1, max_value=64),
+    chunk_size=st.one_of(st.none(), st.integers(min_value=1, max_value=10**4)),
+    spec_transfer=st.sampled_from(SPEC_TRANSFER_MODES),
+    reuse_cars=st.booleans(),
+    compile_tables=st.booleans(),
+    retry=st.integers(min_value=0, max_value=10),
+    chunk_timeout_s=st.one_of(
+        st.none(), st.floats(min_value=1e-6, max_value=1e6)
+    ),
+    degrade=st.booleans(),
+)
+
+
+class TestFlagTable:
+    def test_table_has_one_row_per_config_field(self):
+        fields = {field.name for field in dataclasses.fields(ExperimentConfig)}
+        assert set(CONFIG_FLAGS) == fields
+
+    def test_cli_arguments_state_every_field(self):
+        argv = ExperimentConfig(scenario="x", vehicles=1).cli_arguments()
+        for flag, options, _ in CONFIG_FLAGS.values():
+            if options.get("action") is argparse.BooleanOptionalAction:
+                assert flag in argv or "--no-" + flag[2:] in argv
+            elif options.get("action") != "append":  # no parameters set
+                assert flag in argv
+        assert argv[argv.index("--enforcement") + 1] == "none"
+        assert argv[argv.index("--chunk-size") + 1] == "none"
+
+    PARSER = build_parser()
+
+    @settings(max_examples=300, deadline=None)
+    @given(config=CONFIGS)
+    def test_property_every_config_round_trips_through_the_cli(self, config):
+        parser = self.PARSER
+        assert _resolve_config(parser.parse_args(config.cli_arguments())) == config
+        argv = shlex.split(config.cli_command())
+        assert argv[:3] == ["python", "-m", "repro"]
+        assert _resolve_config(parser.parse_args(argv[3:])) == config
 
 
 class TestEnforcementFromLabel:

@@ -69,6 +69,18 @@ class TestRun:
         assert all(spec.actions[0].param("accel") == 30 for spec in base_specs)
         assert all(spec.actions[0].param("accel") == 90 for spec in tuned_specs)
 
+    def test_undeclared_parameter_is_refused_before_any_spec(self):
+        config = ExperimentConfig(
+            scenario="staggered_ota_rollout", vehicles=4,
+            scenario_parameters={"no_such_knob": 1},
+        )
+        with FleetSession(config) as session:
+            with pytest.raises(ValueError, match=r"no_such_knob.*update_window_s"):
+                session.run()
+            # The call itself raises: the scenario resolves before any spec.
+            with pytest.raises(ValueError, match=r"no_such_knob.*update_window_s"):
+                session.iter_outcomes()
+
     def test_enforcement_override_replaces_the_mix(self):
         config = ExperimentConfig(
             scenario="mixed_ev_dos", vehicles=8, seed=3, enforcement="unprotected"
@@ -191,6 +203,13 @@ class TestRunMatrix:
         for config, result in results:
             assert result.vehicles == config.vehicles
             assert result.fingerprint() == FleetSession(config).run().fingerprint()
+
+    def test_ota_update_window_is_a_sweep_axis(self):
+        base = ExperimentConfig(scenario="staggered_ota_rollout", vehicles=20, seed=3)
+        late = {"scenario_parameters": {"update_window_s": [0.40, 0.44]}}
+        with FleetSession(base) as session:
+            (_, default), (_, moved) = session.run_matrix([{}, late])
+        assert default.fingerprint() != moved.fingerprint()
 
     def test_matrix_rejects_stray_entry_types(self):
         session = FleetSession(ExperimentConfig(scenario="baseline_cruise", vehicles=2))

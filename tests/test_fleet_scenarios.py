@@ -1,5 +1,7 @@
 """Tests for the fleet scenario registry and spec materialisation."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -24,7 +26,7 @@ BUILTIN_NAMES = {
 }
 
 
-def _noop_script(index: int, rng: random.Random):
+def _noop_script(index: int, rng: random.Random, params: dict):
     return (VehicleAction(0.0, "drive", {"accel": rng.randint(30, 90)}),)
 
 
@@ -35,6 +37,7 @@ def make_scenario(name: str = "custom_test_scenario") -> FleetScenario:
         duration_s=0.1,
         mix=(("hpe+selinux", 0.5), ("unprotected", 0.5)),
         script=_noop_script,
+        parameters=(("frames", 10),),
     )
 
 
@@ -80,9 +83,9 @@ class TestDecoratorRegistration:
             mix=(("hpe+selinux", 1.0),),
             parameters={"accel": 55},
         )
-        def decorated_script(index, rng):
+        def decorated_script(index, rng, params):
             """Decorated steady driving."""
-            return (VehicleAction(0.0, "drive", {"accel": 55}),)
+            return (VehicleAction(0.0, "drive", {"accel": params["accel"]}),)
 
         try:
             assert isinstance(decorated_script, FleetScenario)
@@ -102,7 +105,7 @@ class TestDecoratorRegistration:
             duration_s=0.1,
             mix=(("unprotected", 1.0),),
         )
-        def scripted(index, rng):
+        def scripted(index, rng, params):
             """Docstring loses."""
             return ()
 
@@ -140,10 +143,56 @@ class TestParameterAwareScripts:
         finally:
             unregister_scenario("param_aware_test")
 
-    def test_two_argument_scripts_treat_parameters_as_metadata(self):
-        scenario = get_scenario("baseline_cruise")
-        overridden = scenario.with_parameters(accel_range=(1, 2))
-        assert overridden.vehicle_specs(3, seed=1) == scenario.vehicle_specs(3, seed=1)
+    @pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
+    def test_builtin_scripts_read_their_declared_parameter(self, name):
+        override = {
+            "baseline_cruise": {"accel_range": (1, 2)},
+            "fleet_replay_storm": {"replay_messages": ("DOOR_LOCK_CMD",)},
+            "staggered_ota_rollout": {"update_window_s": (0.40, 0.44)},
+            "mixed_ev_dos": {"dos_targets": ("EPS",)},
+            "fuzz_probe": {"frames_range": (5, 10)},
+        }[name]
+        scenario = get_scenario(name)
+        assert set(override) == set(dict(scenario.parameters))
+        overridden = scenario.with_parameters(**override)
+        assert overridden.vehicle_specs(20, seed=3) != scenario.vehicle_specs(20, seed=3)
+
+    def test_undeclared_parameter_is_refused_naming_the_declared_ones(self):
+        scenario = get_scenario("staggered_ota_rollout")
+        with pytest.raises(ValueError, match=r"no_such_knob.*update_window_s"):
+            scenario.with_parameters(no_such_knob=1)
+
+    def test_update_window_bounds_the_policy_update_times(self):
+        scenario = get_scenario("staggered_ota_rollout").with_parameters(
+            update_window_s=[0.40, 0.44]
+        )
+        for spec in scenario.vehicle_specs(20, seed=3):
+            (update,) = [a for a in spec.actions if a.kind == "policy_update"]
+            assert 0.40 <= update.time <= 0.44
+
+
+#: SHA-256 over the canonical JSON of the first 200 specs of each
+#: registered scenario at seed 2018, one spec a line.  A script change
+#: that moves any default draw moves its digest.
+PINNED_SPEC_STREAMS = {
+    "baseline_cruise": "1ad176427af4679d36cfb118e142100695093b7575ad5bf1fbef9b68a7686b26",
+    "fleet_replay_storm": "07ce39f5774d4f08548f15107c4ec0e3088550da446962fc49fd450e292dffde",
+    "fuzz_probe": "d5cf9e994066e709435dcca8d88e5993813b3d8723b300b0301f1cef47ba3a95",
+    "mixed_ev_dos": "4e6e66e2e66c73ae1465d0bda0d5f621c939fb3e04e780d79a300935f4c912cd",
+    "staggered_ota_rollout": "ed60a4c025fa34a12317d9b51f5964dce203a335577a5581308150d8e2cdaa3a",
+}
+
+
+class TestPinnedSpecStreams:
+    @pytest.mark.parametrize("name", sorted(BUILTIN_NAMES))
+    def test_default_spec_stream_is_unchanged(self, name):
+        digest = hashlib.sha256()
+        for spec in get_scenario(name).iter_vehicle_specs(200, seed=2018):
+            digest.update(
+                json.dumps(spec.to_dict(), sort_keys=True, separators=(",", ":")).encode()
+            )
+            digest.update(b"\n")
+        assert digest.hexdigest() == PINNED_SPEC_STREAMS[name]
 
 
 class TestTemporaryScenario:

@@ -317,7 +317,7 @@ class TestLazySessionStream:
         the fleet size."""
         generated = []
 
-        def probe_script(index, rng):
+        def probe_script(index, rng, params):
             generated.append(index)
             return (VehicleAction(0.0, "drive", {"accel": 40}),)
 

@@ -85,6 +85,17 @@ class TestSubmitAndFetch:
         assert excinfo.value.status == 400
         assert "vehicels" in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", 1.5), ("seed", True), ("vehicles", 2.5), ("workers", 2.0),
+         ("first_vehicle_id", 0.5), ("degrade", 1)],
+    )
+    def test_mistyped_config_is_a_400(self, client, field, value):
+        with pytest.raises(ServiceError) as excinfo:
+            client.submit({**CONFIG.to_dict(), field: value})
+        assert excinfo.value.status == 400
+        assert field in str(excinfo.value)
+
     def test_unknown_job_is_a_404(self, client):
         with pytest.raises(ServiceError) as excinfo:
             client.job(99999)
