@@ -139,8 +139,9 @@ CONFIG_FLAGS: dict[str, tuple[str, dict, str]] = {
     "chunk_size": (
         "--chunk-size",
         {"type": _or_none(int), "metavar": "N|none"},
-        "vehicles per work item ('none', the default, sizes chunks from "
-        "the fleet size and worker count)",
+        "most vehicles per work item; an item also closes at "
+        "ceil(N / (workers + 2)) kernel runs ('none', the default, sizes "
+        "N from the fleet size and worker count)",
     ),
     "spec_transfer": (
         "--spec-transfer",

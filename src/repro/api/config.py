@@ -152,8 +152,14 @@ class ExperimentConfig:
     inbox_limit:
         Per-node inbox retention (``None`` keeps every received frame).
     workers / chunk_size:
-        Worker processes and vehicles per work item (``chunk_size=None``
-        sizes chunks as fleet size over ``4 * workers``, at least 8).
+        Worker processes, and the most vehicles one work item covers
+        (``chunk_size=None`` sizes it as fleet size over
+        ``4 * workers``, at least 8).  A parallel run cuts its work
+        items from the stream by kernel runs: an item also closes at
+        ``ceil(chunk_size / (workers + 2))`` vehicles the outcome memo
+        cannot serve (every vehicle, when the memo does not apply), and
+        the parent admits up to ``(workers + 2) * chunk_size`` vehicles
+        ahead of its consumer.
     spec_transfer:
         How spec chunks reach multiprocess workers (and outcome batches
         come back): ``"shm"`` (default) moves columnar

@@ -20,11 +20,11 @@ worker pools -- behind three entry points:
   (policy derivation and car construction amortise across the sweep).
 
 The data plane is lazy and columnar end to end: specs are generated one
-vehicle at a time (:meth:`FleetSession.iter_vehicle_specs`), chunked
-straight into worker submissions, and -- with the default
-``spec_transfer="shm"`` -- packed into
+vehicle at a time (:meth:`FleetSession.iter_vehicle_specs`), cut
+straight into work items (:func:`~repro.fleet.runner.cut_work_items`)
+and -- with the default ``spec_transfer="shm"`` -- packed into
 :class:`~repro.fleet.transfer.SpecBlock` shared-memory segments whose
-outcome batches return the same way, so the parent stays O(chunk) and
+outcome batches return the same way, so the parent stays O(window) and
 the worker pipe carries only ``(name, size)`` handles at any fleet
 size.
 
@@ -38,10 +38,17 @@ execution settings, and from the shell via ``python -m repro fleet run``.
 Vehicles that repeat a behaviour key are simulated once: in
 ``COUNTERS`` retention with compiled tables, the session's
 :class:`~repro.fleet.runner.OutcomeMemo` is consulted before any spec
-reaches a worker, and it is shared across chunks and runs.  A parallel
-chunk sends only its misses; its hits and duplicates are joined back in
-vehicle-id order, so the number of kernel runs depends on the
-experiment, not on the worker count.
+reaches a worker, and it is shared across work items and runs.  A
+parallel run cuts its work items by the memo's misses, not by vehicle-id
+ranges: an item closes at ``chunk_size`` vehicles or at
+``ceil(chunk_size / (workers + 2))`` misses, so a repeating fleet's
+first occurrences -- which crowd the start of the stream -- spread over
+several workers.  An item sends only its misses; its hits and
+duplicates are joined back in vehicle-id order, so the number of kernel
+runs depends on the experiment, not on the worker count.  While a
+worker runs the oldest item, the parent keeps generating and cutting
+the next ones, up to ``(workers + 2) * chunk_size`` vehicles ahead of
+its consumer.
 """
 
 from __future__ import annotations
@@ -52,7 +59,6 @@ from multiprocessing import resource_tracker
 from collections import deque
 from dataclasses import replace
 from functools import partial
-from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -67,12 +73,12 @@ from repro.fleet.resilience import (
 from repro.fleet.results import FleetResult, StreamingFleetAggregator, VehicleOutcome
 from repro.fleet.runner import (
     OutcomeMemo,
-    _chunked,
     _init_worker,
     _process_builder,
     _process_pool,
     _simulate_chunk,
     _simulate_chunk_shm,
+    cut_work_items,
     memo_applies,
     simulate_vehicle,
 )
@@ -97,26 +103,32 @@ from repro.api.config import ExperimentConfig
 
 
 class _ChunkAttempt:
-    """One chunk's execution state across retries.
+    """One work item's execution state across retries.
 
-    ``specs`` are what the chunk sends to a worker: all of its specs, or
-    only its memo misses when ``plan`` (from
-    :meth:`~repro.fleet.runner.OutcomeMemo.split`) joins the rest back.
-    The parallel loop keeps either that spec list (pickle transfer) or
-    its encoded :class:`SpecBlock` bytes (shm transfer -- far smaller
-    than the objects, keeping the parent O(encoded-chunk)) so a failed
-    attempt can be re-queued without regenerating specs.  ``size`` is
-    the number of specs to run; a chunk of size 0 is never submitted.
-    ``attempt`` counts *failed* executions so far; ``result`` and
-    ``spec_handle`` always describe the in-flight attempt, and both are
-    cleared whenever that attempt is abandoned.
+    An item covers ``vehicles`` consecutive vehicles of the stream, as
+    :func:`~repro.fleet.runner.cut_work_items` cut it; ``index`` is its
+    position in the stream, which fault plans and the in-order join go
+    by.  ``specs`` are what the item sends to a worker: its memo misses,
+    which ``plan`` joins back with the rest (every vehicle when the memo
+    is off and ``plan`` is ``None``).  The parallel loop keeps either
+    that spec list (pickle transfer) or its encoded :class:`SpecBlock`
+    bytes (shm transfer -- far smaller than the objects, keeping the
+    parent O(encoded-item)) so a failed attempt can be re-queued without
+    regenerating specs.  ``size`` is the number of specs to run; an item
+    of size 0 is never submitted.  ``attempt`` counts *failed*
+    executions so far; ``result`` and ``spec_handle`` always describe
+    the in-flight attempt, and both are cleared whenever that attempt is
+    abandoned.
     """
 
-    __slots__ = ("index", "specs", "size", "plan", "payload", "attempt", "result",
-                 "spec_handle", "transfer", "last_error")
+    __slots__ = ("index", "vehicles", "specs", "size", "plan", "payload", "attempt",
+                 "result", "spec_handle", "transfer", "last_error")
 
-    def __init__(self, index: int, specs: list[VehicleSpec], plan: tuple | None = None):
+    def __init__(
+        self, index: int, vehicles: int, specs: list[VehicleSpec], plan: tuple | None
+    ):
         self.index = index
+        self.vehicles = vehicles
         self.specs: list[VehicleSpec] | None = specs
         self.size = len(specs)
         self.plan = plan
@@ -286,7 +298,7 @@ class FleetSession:
 
         The fleet is generated one spec at a time (any fleet-wide
         enforcement override is mapped over the stream), so the parent
-        never holds more than the chunk being submitted -- the O(chunk)
+        never holds more than the work item being cut -- the O(chunk)
         half of the 10^5-vehicle contract, alongside shared-memory
         transfer.
         """
@@ -347,9 +359,10 @@ class FleetSession:
         """Stream the config's outcomes one vehicle at a time, in id order.
 
         Outcomes are folded into the aggregate incrementally and handed
-        to the caller without being retained; chunk submission is
-        windowed, so buffered outcomes stay bounded by a few chunks
-        regardless of fleet size or how slowly the caller consumes.
+        to the caller without being retained; work-item submission is
+        windowed, so buffered outcomes stay bounded by
+        ``(workers + 2) * chunk_size`` vehicles regardless of fleet size
+        or how slowly the caller consumes.
         After the generator is exhausted, :attr:`last_result` holds the
         finished :class:`FleetResult` -- bit-identical to :meth:`run`
         (which is this generator, drained).  :attr:`last_result` resets
@@ -506,7 +519,13 @@ class FleetSession:
     ) -> Iterator[VehicleOutcome]:
         self._sweep_orphans()
         chunk_size = config.effective_chunk_size(total)
-        chunks = _chunked(specs, chunk_size)
+        lanes = config.workers + 2
+        memo = None
+        if memo_applies(config.trace_level, config.compile_tables):
+            memo = self._memo
+        items = enumerate(
+            cut_work_items(specs, chunk_size, -(-chunk_size // lanes), memo)
+        )
         transfer = resolve_spec_transfer(config.spec_transfer)
         policy = config.retry_policy()
         faults = self._fault_plan
@@ -665,64 +684,61 @@ class FleetSession:
             self._fold_worker_snapshot(snapshot)
             return outcomes
 
-        # Windowed submission with ordered consumption: at most
-        # ``workers + 2`` chunks are in flight (running or finished but
-        # unconsumed), and chunks are *completed* in submission order --
-        # vehicle-id order -- so the stream is deterministic and the
-        # incremental fold matches the batch sort-then-fold bit for
-        # bit.  Retries preserve that invariant for free: a re-queued
-        # chunk is a pure function of its specs, so whichever attempt
-        # finally lands contributes identical bytes in an identical
-        # position.  Unlike ``Pool.imap`` (which submits everything up
-        # front and buffers completed chunks without limit), a consumer
-        # slower than the workers exerts backpressure here: no new
-        # chunk is submitted until one has been drained, keeping
-        # buffered outcomes bounded by the window whatever the fleet
-        # size.  Because ``chunks`` slices the lazy spec stream, specs
-        # are also *generated* only as the window advances -- the
-        # parent is O(chunk) end to end.  With the memo on, a chunk is
-        # split as it enters the window and only its misses travel; a
-        # chunk with none still takes its turn in the window, so
-        # consumer-side faults fire on it as on any other.
+        # Windowed submission with ordered consumption.  The window
+        # holds the items admitted but not yet yielded -- running,
+        # queued or finished -- up to ``lanes * chunk_size`` vehicles,
+        # and items are *completed* in admission order, which is
+        # vehicle-id order, so the stream is deterministic and the
+        # incremental fold matches the batch sort-then-fold bit for bit.
+        # Retries preserve that invariant for free: a re-queued item is
+        # a pure function of its specs, so whichever attempt finally
+        # lands contributes identical bytes in an identical position.
+        # While the head item is still running, the parent keeps
+        # pulling, classifying and submitting items -- its spec
+        # generation overlaps the workers' kernels, and an item cut at
+        # ``chunk_size / lanes`` misses keeps every worker fed -- and
+        # blocks on the head only once the window is full or the stream
+        # is spent.  Unlike ``Pool.imap`` (which submits everything up
+        # front and buffers completed results without limit), a
+        # consumer slower than the workers exerts backpressure: nothing
+        # is admitted while outcomes wait to be yielded, so buffered
+        # outcomes stay bounded by the window and specs are *generated*
+        # only as it advances -- the parent is O(window) end to end.
+        # An item with no misses is never submitted but still takes its
+        # turn, so consumer-side faults fire on it as on any other.
         window: deque[_ChunkAttempt] = deque()
-        next_index = 0
+        window_limit = lanes * chunk_size
+        queued = 0  # vehicles in the window
         current: _ChunkAttempt | None = None
-        memo = None
-        if memo_applies(config.trace_level, config.compile_tables):
-            memo = self._memo
-        # This stream's keys whose first occurrence is not joined yet.
-        pending_keys: dict = {}
 
-        def admit(chunk: list[VehicleSpec]) -> None:
-            nonlocal next_index
-            if memo is None:
-                record = _ChunkAttempt(next_index, chunk)
-            else:
-                join_plan, misses = memo.split(chunk, pending_keys)
-                record = _ChunkAttempt(next_index, misses, join_plan)
-            next_index += 1
+        def admit() -> bool:
+            """Cut, classify and submit the next item; False at the end."""
+            nonlocal queued
+            item = next(items, None)
+            if item is None:
+                return False
+            index, (vehicles, misses, plan) = item
+            record = _ChunkAttempt(index, vehicles, misses, plan)
+            queued += vehicles
             if record.size:
                 submit(record)
             window.append(record)
+            return True
+
+        def head_ready() -> bool:
+            head = window[0]
+            return not head.size or head.result.ready()
 
         try:
-            for chunk in islice(chunks, config.workers + 2):
-                admit(chunk)
-            while window:
+            while True:
+                while queued < window_limit and not (window and head_ready()):
+                    if not admit():
+                        break
+                if not window:
+                    break
                 current = window.popleft()
+                queued -= current.vehicles
                 payload, outcomes = complete(current) if current.size else (None, [])
-                try:
-                    # Pulling the next chunk runs scenario script code
-                    # (the stream is lazy) and another write_block; if
-                    # either fails, the outcome segment already handed
-                    # back for this chunk must not be orphaned.
-                    next_chunk = next(chunks, None)
-                    if next_chunk is not None:
-                        admit(next_chunk)
-                except BaseException:
-                    if payload is not None and current.transfer == "shm":
-                        discard_segment(payload[0].name)
-                    raise
                 if faults is not None:
                     stall = faults.fires("consumer_stall", current.index, current.attempt)
                     if stall is not None:
@@ -730,7 +746,7 @@ class FleetSession:
                 if outcomes is None:
                     outcomes = consume(current, payload)
                 if current.plan is not None:
-                    outcomes = memo.join(current.plan, outcomes, pending_keys)
+                    outcomes = memo.join(current.plan, outcomes)
                 current = None  # fully consumed: nothing left to reclaim
                 yield from outcomes
         finally:

@@ -23,9 +23,9 @@ seed, which the fleet benchmark asserts.
 The same purity lets a fleet that repeats a script simulate it once:
 the session's :class:`OutcomeMemo` serves a repeated behaviour key from
 the outcome its first vehicle produced (see :func:`memo_applies` for
-when).  The session consults it before anything reaches a worker, so
-workers have no memo: the chunk functions simulate exactly the specs
-they receive.
+when).  The session consults it while :func:`cut_work_items` cuts the
+stream, before anything reaches a worker, so workers have no memo: the
+chunk functions simulate exactly the specs they receive.
 """
 
 from __future__ import annotations
@@ -371,7 +371,8 @@ def simulate_vehicle(
 #: Most outcomes one :class:`OutcomeMemo` keeps; past it the oldest entry
 #: is evicted.  Repeating fleets draw a few dozen distinct keys, so the
 #: bound only matters for heterogeneous streams, where it caps the memo
-#: at a few MiB.
+#: at a few MiB.  Once it evicts, a parallel run's kernel runs depend on
+#: timing (see :class:`OutcomeMemo`); its fingerprint never does.
 MEMO_LIMIT = 4096
 
 #: Action kinds that draw from the vehicle's seeded kernel streams
@@ -391,10 +392,10 @@ def memo_applies(trace_level: TraceLevel | str, compile_tables: bool) -> bool:
 
 
 class _Pending:
-    """A key whose first occurrence is in a chunk not yet joined.
+    """A key whose first occurrence is in a work item not yet joined.
 
     Later duplicates of the key in the same stream are served from this
-    cell, not from the memo's entries, so an eviction between planning
+    cell, not from the memo's entries, so an eviction between cutting
     and joining cannot strand them.  :meth:`OutcomeMemo.join` fills it.
     """
 
@@ -419,13 +420,24 @@ class OutcomeMemo:
     only real simulations.
 
     One memo per session serves both execution paths, shared across
-    chunks and runs: inline streams go through :meth:`outcomes`, and
-    parallel streams :meth:`split` each chunk before it is sent to a
-    worker and :meth:`join` its results back, so a key is simulated
-    once whatever the worker count.  The memo stores its own copy of
-    each outcome, so nothing it hands out stays reachable through it.
-    Outcomes hold only for the builder that produced them, so no memo
-    is ever shared between sessions.
+    work items and runs: inline streams go through :meth:`outcomes`, and
+    parallel streams are cut into work items by :func:`cut_work_items`
+    before anything is sent to a worker and :meth:`join` each item's
+    results back, so a key is simulated once whatever the worker count.
+    The memo stores its own copy of each outcome, so nothing it hands
+    out stays reachable through it.  Outcomes hold only for the builder
+    that produced them, so no memo is ever shared between sessions.
+
+    While the memo evicts nothing (its entries plus a stream's new keys
+    stay within :data:`MEMO_LIMIT`), the misses -- hence the work items
+    and the kernel runs -- are a function of the stream and the memo's
+    entries when it starts.  Past the bound, entries are evicted as
+    items are joined, and a parallel session cuts ahead of its joins by
+    as far as its workers let it: a later repeat of an evicted key may
+    then be a miss or a hit depending on timing, so ``kernel_runs``
+    varies from run to run (and already varied with the worker count).
+    Fingerprints never vary: a hit and a fresh kernel run are the same
+    outcome.
     """
 
     __slots__ = ("_entries",)
@@ -462,51 +474,17 @@ class OutcomeMemo:
             else:
                 yield self._hit(stored, spec.vehicle_id)
 
-    def split(
-        self,
-        specs: Iterable[VehicleSpec],
-        in_flight: dict[tuple, _Pending],
-    ) -> tuple[tuple[list, list[_Pending]], list[VehicleSpec]]:
-        """Plan one chunk of a stream; returns ``(plan, misses)``.
-
-        Each spec is a memo hit, a duplicate of a key whose first
-        occurrence is still in flight (*in_flight*: the stream's keys
-        not yet joined, in this chunk or an earlier one), or a miss.
-        Only the misses need a kernel run; they are registered in
-        *in_flight* in order.  The plan holds vehicle ids and where each
-        outcome comes from, never the specs, so the parent stays
-        O(chunk) while the chunk is away.
-        """
-        entries = self._entries
-        sources: list[tuple[int, VehicleOutcome | _Pending | None]] = []
-        pending: list[_Pending] = []
-        misses: list[VehicleSpec] = []
-        for spec in specs:
-            key = self.key(spec)
-            source = entries.get(key)
-            if source is None:
-                source = in_flight.get(key)
-                if source is None:
-                    in_flight[key] = cell = _Pending(key)
-                    pending.append(cell)
-                    misses.append(spec)
-            sources.append((spec.vehicle_id, source))
-        return (sources, pending), misses
-
     def join(
-        self,
-        plan: tuple[list, list[_Pending]],
-        outcomes: Sequence[VehicleOutcome],
-        in_flight: dict[tuple, _Pending],
+        self, plan: tuple, outcomes: Sequence[VehicleOutcome]
     ) -> Iterator[VehicleOutcome]:
-        """A split chunk's outcomes in vehicle-id order.
+        """A work item's outcomes in vehicle-id order.
 
-        *outcomes* are the kernel runs of the chunk's misses, in the
-        order :meth:`split` returned them.  Each is stored and its key
-        leaves *in_flight* before the chunk's hits and duplicates are
-        served.
+        *plan* comes from :func:`cut_work_items`, and *outcomes* are the
+        kernel runs of the item's misses, in the order it cut them.
+        Each is stored and its key leaves the stream's in-flight cells
+        before the item's hits and duplicates are served.
         """
-        sources, pending = plan
+        sources, pending, in_flight = plan
         for cell, outcome in zip(pending, outcomes, strict=True):
             cell.outcome = self._store(cell.key, outcome)
             del in_flight[cell.key]
@@ -537,7 +515,70 @@ class OutcomeMemo:
         registry = _obs_metrics.ACTIVE
         if registry.enabled:
             registry.inc("simulate.memo_hits")
-        return replace(stored, vehicle_id=vehicle_id)
+        # A field-for-field copy that skips replace()'s __init__ (the
+        # template was validated when it was stored): a parent-side cost
+        # paid once per served vehicle.  Assigning a fresh dict, rather
+        # than filling the new instance's own, keeps attribute reads on
+        # the copy (the aggregator's fold) as fast as on a built one.
+        outcome = object.__new__(VehicleOutcome)
+        object.__setattr__(outcome, "__dict__", {**vars(stored), "vehicle_id": vehicle_id})
+        return outcome
+
+
+def cut_work_items(
+    specs: Iterable[VehicleSpec],
+    chunk_size: int,
+    max_misses: int,
+    memo: OutcomeMemo | None = None,
+) -> Iterator[tuple[int, list[VehicleSpec], tuple | None]]:
+    """Cut a spec stream into work items, lazily: ``(vehicles, misses, plan)``.
+
+    An item closes at *chunk_size* vehicles or at *max_misses* misses,
+    whichever comes first, and pulls from *specs* only the vehicles it
+    holds, so the parent holds one item's specs however long the stream
+    is.  With a *memo*, each spec is a memo entry, a duplicate of a key
+    whose first occurrence is in an item not yet joined (served from
+    that key's in-flight :class:`_Pending` cell, so an eviction before
+    the join cannot strand it), or a miss.  Only the misses run the
+    kernel; *plan* is for :meth:`OutcomeMemo.join` and holds vehicle
+    ids and where each outcome comes from, never the specs.  Without a
+    memo every spec is a miss and *plan* is ``None``.
+
+    Cutting by misses spreads a repeating stream's first occurrences
+    over several items (so over several workers) instead of leaving
+    them all in the first id range.  Boundaries depend on the stream and
+    the memo's entries, never on when items are joined, unless the memo
+    evicts (see :data:`MEMO_LIMIT`).
+    """
+    iterator = iter(specs)
+    if memo is None:
+        size = min(chunk_size, max_misses)
+        while misses := list(islice(iterator, size)):
+            yield len(misses), misses, None
+        return
+    entries = memo._entries
+    key_of = OutcomeMemo.key
+    # This stream's keys whose first occurrence is not joined yet.
+    in_flight: dict[tuple, _Pending] = {}
+    while True:
+        sources: list[tuple[int, VehicleOutcome | _Pending | None]] = []
+        pending: list[_Pending] = []
+        misses: list[VehicleSpec] = []
+        for spec in iterator:
+            key = key_of(spec)
+            source = entries.get(key)
+            if source is None:
+                source = in_flight.get(key)
+                if source is None:
+                    in_flight[key] = cell = _Pending(key)
+                    pending.append(cell)
+                    misses.append(spec)
+            sources.append((spec.vehicle_id, source))
+            if len(sources) == chunk_size or len(misses) == max_misses:
+                break
+        if not sources:
+            return
+        yield len(sources), misses, (sources, pending, in_flight)
 
 
 # ---------------------------------------------------------------------------
@@ -666,24 +707,6 @@ def _simulate_chunk(
             specs, trace_level, inbox_limit, reuse_cars, compile_tables
         )
     return outcomes, _drain_chunk_telemetry(registry)
-
-
-def _chunked(
-    specs: Iterable[VehicleSpec], chunk_size: int
-) -> Iterator[list[VehicleSpec]]:
-    """Slice a spec stream into submission-sized lists, lazily.
-
-    Works on any iterable -- in particular the lazy
-    :meth:`~repro.fleet.scenarios.FleetScenario.iter_vehicle_specs`
-    stream -- and only ever holds one chunk, which is what keeps the
-    parent O(chunk) however large the fleet is.
-    """
-    iterator = iter(specs)
-    while True:
-        chunk = list(islice(iterator, chunk_size))
-        if not chunk:
-            return
-        yield chunk
 
 
 def _simulate_chunk_shm(

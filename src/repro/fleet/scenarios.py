@@ -126,7 +126,12 @@ class VehicleAction:
 
 @dataclass(frozen=True)
 class VehicleSpec:
-    """A fully materialised, picklable description of one fleet vehicle."""
+    """A fully materialised, picklable description of one fleet vehicle.
+
+    Every action is timed within the vehicle's ``duration_s`` (an action
+    at exactly ``duration_s`` still runs): the kernel stops there, so a
+    later action would silently never run.
+    """
 
     vehicle_id: int
     scenario: str
@@ -141,6 +146,13 @@ class VehicleSpec:
         # columns, so fingerprints cannot differ between pickle and shm
         # transfer for hand-built int-valued specs.
         object.__setattr__(self, "duration_s", float(self.duration_s))
+        for action in self.actions:
+            if action.time > self.duration_s:
+                raise ValueError(
+                    f"vehicle {self.vehicle_id}: {action.kind!r} action at "
+                    f"{action.time} s is after the vehicle's duration of "
+                    f"{self.duration_s} s, so it would never run"
+                )
 
     def to_dict(self) -> dict:
         """JSON-friendly representation (round-trips via :meth:`from_dict`)."""
@@ -256,14 +268,23 @@ class FleetScenario:
     ) -> Iterator[VehicleSpec]:
         labels = [label for label, _ in self.mix]
         weights = [weight for _, weight in self.mix]
+        # A one-label mix always draws its label, and the mix stream is
+        # used for nothing else, so skipping the draw leaves every spec
+        # unchanged.
+        only_label = labels[0] if len(labels) == 1 else None
         params = dict(self.parameters)
         for index in range(vehicles):
             vehicle_id = first_vehicle_id + index
             # Every per-vehicle draw (mix, script, sim seed) keys on the
             # vehicle id, never on batch position, so specs generated
             # in batches compose identically to one combined call.
-            mix_rng = random.Random(derive_seed(seed, f"{self.name}/mix-{vehicle_id}"))
-            enforcement = mix_rng.choices(labels, weights=weights, k=1)[0]
+            if only_label is None:
+                mix_rng = random.Random(
+                    derive_seed(seed, f"{self.name}/mix-{vehicle_id}")
+                )
+                enforcement = mix_rng.choices(labels, weights=weights, k=1)[0]
+            else:
+                enforcement = only_label
             script_rng = random.Random(
                 derive_seed(seed, f"{self.name}/script-{vehicle_id}")
             )

@@ -35,7 +35,9 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
+from repro.api.config import ExperimentConfig
 from repro.api.session import FleetSession
+from repro.fleet.scenarios import get_scenario
 from repro.obs import clock
 from repro.obs.export import MetricsSnapshot, merge_snapshots, to_prometheus
 from repro.obs.metrics import MetricsRegistry
@@ -331,7 +333,8 @@ class _Handler(BaseHTTPRequestHandler):
             else:
                 self._error(404, f"no such endpoint: POST {url.path}")
         except (ValueError, KeyError, TypeError) as exc:
-            self._error(400, str(exc))
+            # args[0], not str(): str() of a KeyError quotes its message.
+            self._error(400, str(exc.args[0]) if exc.args else str(exc))
 
     # -- endpoints ------------------------------------------------------------
 
@@ -342,6 +345,12 @@ class _Handler(BaseHTTPRequestHandler):
             raise ValueError(
                 'body must be {"config": {...}} or a bare config object'
             )
+        config = ExperimentConfig.from_dict(config)
+        # Refuse now what every drain attempt would fail on: an
+        # unregistered scenario (KeyError) or a parameter the scenario
+        # does not declare (ValueError) -- both a 400, nothing queued.
+        scenario = get_scenario(config.scenario)
+        scenario.with_parameters(**dict(config.scenario_parameters))
         job, cached = self.service.store.submit(
             config,
             priority=int(data.get("priority", 0)),

@@ -253,6 +253,21 @@ class TestFleetRun:
         assert "update_window_s" in captured.err
         assert "fingerprint" not in captured.out
 
+    def test_an_action_past_the_vehicle_duration_exits_2(self, capsys):
+        assert (
+            run_cli(
+                "fleet", "run",
+                "--scenario", "staggered_ota_rollout",
+                "--vehicles", "20",
+                "--seed", "3",
+                "--param", "update_window_s=[0.40,0.44]",
+            )
+            == 2
+        )
+        captured = capsys.readouterr()
+        assert "after the vehicle's duration of 0.45 s" in captured.err
+        assert "fingerprint" not in captured.out
+
     def test_missing_required_flags_fail_cleanly(self, capsys):
         assert run_cli("fleet", "run", "--scenario", "baseline_cruise") == 2
         assert "--vehicles" in capsys.readouterr().err

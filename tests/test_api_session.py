@@ -206,7 +206,7 @@ class TestRunMatrix:
 
     def test_ota_update_window_is_a_sweep_axis(self):
         base = ExperimentConfig(scenario="staggered_ota_rollout", vehicles=20, seed=3)
-        late = {"scenario_parameters": {"update_window_s": [0.40, 0.44]}}
+        late = {"scenario_parameters": {"update_window_s": [0.30, 0.34]}}
         with FleetSession(base) as session:
             (_, default), (_, moved) = session.run_matrix([{}, late])
         assert default.fingerprint() != moved.fingerprint()

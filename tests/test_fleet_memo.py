@@ -23,11 +23,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExperimentConfig, FleetSession
+from repro.api import session as session_module
 from repro.can.trace import TraceLevel
 from repro.casestudy.builder import CaseStudyBuilder
 from repro.fleet import runner
 from repro.fleet.resilience import FaultPlan
-from repro.fleet.runner import OutcomeMemo, memo_applies, simulate_vehicle
+from repro.fleet.runner import (
+    OutcomeMemo,
+    cut_work_items,
+    memo_applies,
+    simulate_vehicle,
+)
 from repro.fleet.scenarios import (
     ENFORCEMENT_LABELS,
     VehicleAction,
@@ -235,59 +241,106 @@ class TestWorkerChunks:
         )
 
 
-def _split_run(memo, chunks):
-    """Split every chunk first, then join each with real kernel runs.
+def _cut_run(memo, specs, chunk_size, max_misses=None):
+    """Cut every item first, then join each with real kernel runs.
 
     Returns the joined outcomes and the number of kernel runs -- the
-    parallel path's order of operations with every chunk in flight at
+    parallel path's order of operations with every item in flight at
     once.
     """
-    in_flight = {}
-    planned = [memo.split(chunk, in_flight) for chunk in chunks]
+    items = list(cut_work_items(specs, chunk_size, max_misses or chunk_size, memo))
     outcomes, kernel_runs = [], 0
-    for plan, misses in planned:
+    for _vehicles, misses, plan in items:
         kernel_runs += len(misses)
         ran = [simulate_vehicle(spec) for spec in misses]
-        outcomes.extend(memo.join(plan, ran, in_flight))
-    assert in_flight == {}
+        outcomes.extend(memo.join(plan, ran))
+    if items:
+        assert items[-1][2][2] == {}  # every in-flight cell was released
     return outcomes, kernel_runs
 
 
-class TestSplitJoin:
-    """The parent-side half of the memo: plan a chunk, join it back."""
+def _mixed_keys(count):
+    """*count* hand-built specs over two drive keys and seeded fuzz keys."""
+    specs = []
+    for i in range(count):
+        if i % 3 == 2:
+            actions = [VehicleAction(0.0, "fuzz", {"frames": 10})]
+        else:
+            actions = [VehicleAction(0.0, "drive", {"accel": 40 + 10 * (i % 2)})]
+        specs.append(_spec(i, actions, seed=100 + i))
+    return specs
+
+
+class TestCutJoin:
+    """The parent-side half of the memo: cut a stream into work items,
+    join each back."""
 
     def test_misses_are_the_first_occurrence_of_each_key(self):
-        specs = []
-        for i in range(9):
-            if i % 3 == 2:
-                actions = [VehicleAction(0.0, "fuzz", {"frames": 10})]
-            else:
-                actions = [VehicleAction(0.0, "drive", {"accel": 40 + 10 * (i % 2)})]
-            specs.append(_spec(i, actions, seed=100 + i))
-        _, misses = OutcomeMemo().split(specs, {})
+        specs = _mixed_keys(9)
+        ((vehicles, misses, _),) = cut_work_items(specs, 9, 9, OutcomeMemo())
+        assert vehicles == 9
         assert [spec.vehicle_id for spec in misses] == [0, 1, 2, 5, 8]
-        outcomes, kernel_runs = _split_run(OutcomeMemo(), [specs])
+        outcomes, kernel_runs = _cut_run(OutcomeMemo(), specs, 9)
         assert kernel_runs == 5
         assert _tuples(outcomes) == _object_tuples(specs)
         assert [o.memo_hit for o in outcomes] == [
             False, False, False, True, True, False, True, True, False
         ]
 
-    def test_memo_is_shared_across_chunks_and_streams(self):
+    def test_an_item_closes_at_its_miss_cap_or_its_vehicle_count(self):
+        # Misses at 0, 1, 2, 5, 8 and 11: a cap of 2 misses closes the
+        # first two items, a count of 5 vehicles the third.
+        items = cut_work_items(_mixed_keys(12), 5, 2, OutcomeMemo())
+        cuts = [(vehicles, [s.vehicle_id for s in misses]) for vehicles, misses, _ in items]
+        assert cuts == [(2, [0, 1]), (4, [2, 5]), (5, [8]), (1, [11])]
+
+    def test_without_a_memo_every_spec_is_a_miss(self):
+        specs = _mixed_keys(7)
+        items = list(cut_work_items(specs, 5, 3))
+        assert [misses for _, misses, _ in items] == [specs[0:3], specs[3:6], specs[6:]]
+        assert [(vehicles, plan) for vehicles, _, plan in items] == [
+            (3, None), (3, None), (1, None)
+        ]
+
+    @pytest.mark.parametrize("memo", [OutcomeMemo(), None], ids=["memo", "no-memo"])
+    def test_the_cutter_pulls_only_what_it_yields(self, memo):
+        pulled = []
+
+        def source():
+            for spec in _mixed_keys(100):
+                pulled.append(spec.vehicle_id)
+                yield spec
+
+        items = cut_work_items(source(), 10, 10, memo)
+        assert next(items)[0] == 10
+        assert len(pulled) == 10  # nothing beyond the first item
+        assert next(items)[0] == 10
+        assert len(pulled) == 20
+
+    def test_the_cutter_handles_a_ragged_tail(self):
+        specs = [
+            _spec(i, [VehicleAction(0.0, "drive", {"accel": 40 + i})]) for i in range(7)
+        ]
+        items = cut_work_items(specs, 3, 3, OutcomeMemo())
+        assert [[s.vehicle_id for s in misses] for _, misses, _ in items] == [
+            [0, 1, 2], [3, 4, 5], [6]
+        ]
+
+    def test_memo_is_shared_across_items_and_streams(self):
         specs, copies = _reseeded_fleet("baseline_cruise")
         memo = OutcomeMemo()
-        _split_run(memo, [specs])
-        plan, misses = memo.split(copies, {})
+        _cut_run(memo, specs, len(specs))
+        ((_, misses, plan),) = cut_work_items(copies, len(copies), len(copies), memo)
         assert misses == []
-        outcomes = list(memo.join(plan, [], {}))
+        outcomes = list(memo.join(plan, []))
         assert all(o.memo_hit for o in outcomes)
         assert _tuples(outcomes) == _object_tuples(copies)
 
     def test_duplicates_of_an_in_flight_key_are_served_from_its_first_run(self):
         specs, copies = _reseeded_fleet("baseline_cruise")
-        # Both chunks are split before either is joined: the copies find
-        # every key in flight, so their chunk has nothing to run.
-        outcomes, kernel_runs = _split_run(OutcomeMemo(), [specs, copies])
+        # Both items are cut before either is joined: the copies find
+        # every key in flight, so their item has nothing to run.
+        outcomes, kernel_runs = _cut_run(OutcomeMemo(), specs + copies, len(specs))
         distinct = {OutcomeMemo.key(s) for s in specs}
         assert kernel_runs == len(distinct)
         assert _tuples(outcomes) == _object_tuples(specs + copies)
@@ -299,16 +352,16 @@ class TestSplitJoin:
             _spec(i, [VehicleAction(0.0, "drive", {"accel": 40 + i})]) for i in range(3)
         ]
         again = [dataclasses.replace(spec, vehicle_id=3 + i) for i, spec in enumerate(first)]
-        # Joining the first chunk stores three keys into a one-entry
-        # memo; the second chunk was planned against their cells.
-        outcomes, kernel_runs = _split_run(OutcomeMemo(), [first, again])
+        # Joining the first item stores three keys into a one-entry
+        # memo; the second item was cut against their cells.
+        outcomes, kernel_runs = _cut_run(OutcomeMemo(), first + again, 3)
         assert kernel_runs == 3
         assert _tuples(outcomes) == _object_tuples(first + again)
 
     def test_the_memo_pins_no_outcome_it_hands_out(self):
         specs, copies = _reseeded_fleet("baseline_cruise")
         memo = OutcomeMemo()
-        handed = _split_run(memo, [specs])[0]
+        handed = _cut_run(memo, specs, 8)[0]
         handed += memo.outcomes(copies, simulate_vehicle)
         unseen = [dataclasses.replace(spec, scenario="unseen") for spec in specs]
         handed += memo.outcomes(unseen, simulate_vehicle)  # inline misses
@@ -316,6 +369,18 @@ class TestSplitJoin:
         del handed
         gc.collect()
         assert all(ref() is None for ref in refs)
+
+    def test_a_hit_is_a_field_for_field_copy_under_its_own_id(self):
+        specs, copies = _reseeded_fleet("baseline_cruise")
+        memo = OutcomeMemo()
+        outcomes, _ = _cut_run(memo, specs + copies, len(specs))
+        first = {OutcomeMemo.key(spec): outcome for spec, outcome in zip(specs, outcomes)}
+        for spec, hit in zip(copies, outcomes[len(specs):]):
+            assert hit == dataclasses.replace(
+                first[OutcomeMemo.key(spec)],
+                vehicle_id=spec.vehicle_id, wall_seconds=0.0, build_seconds=0.0,
+                memo_hit=True,
+            )
 
 
 class TestBound:
@@ -331,6 +396,19 @@ class TestBound:
         # The three newest keys are kept, the two oldest were dropped.
         assert _memo_run(specs[2:], memo)[1] == 0
         outcomes, kernel_runs = _memo_run(specs[:1], memo)
+        assert kernel_runs == 1
+        assert _tuples(outcomes) == _object_tuples(specs[:1])
+
+    def test_cut_items_see_the_same_evictions(self, monkeypatch):
+        monkeypatch.setattr(runner, "MEMO_LIMIT", 3)
+        specs = [
+            _spec(i, [VehicleAction(0.0, "drive", {"accel": 40 + i})])
+            for i in range(5)
+        ]
+        memo = OutcomeMemo()
+        assert _cut_run(memo, specs, 2)[1] == 5
+        assert _cut_run(memo, specs[2:], 2)[1] == 0
+        outcomes, kernel_runs = _cut_run(memo, specs[:1], 2)
         assert kernel_runs == 1
         assert _tuples(outcomes) == _object_tuples(specs[:1])
 
@@ -618,15 +696,26 @@ REPEATING = dict(scenario="baseline_cruise", vehicles=48, seed=2018)
 
 
 def _first_occurrences_per_chunk(config):
-    """How many never-seen keys each of the config's chunks holds."""
+    """How many never-seen keys each of the config's work items holds.
+
+    Recomputed from the keys by the cutting rule: an item closes at
+    ``chunk_size`` vehicles or at ``ceil(chunk_size / (workers + 2))``
+    first occurrences, whichever comes first.
+    """
     with FleetSession(config) as session:
         specs = session.vehicle_specs()
     size = config.effective_chunk_size()
-    seen, counts = set(), []
-    for start in range(0, len(specs), size):
-        keys = {OutcomeMemo.key(spec) for spec in specs[start:start + size]}
-        counts.append(len(keys - seen))
-        seen |= keys
+    cap = -(-size // (config.workers + 2))
+    seen, counts, vehicles = set(), [], 0
+    for spec in specs:
+        if vehicles in (0, size) or counts[-1] == cap:
+            counts.append(0)
+            vehicles = 0
+        key = OutcomeMemo.key(spec)
+        if key not in seen:
+            seen.add(key)
+            counts[-1] += 1
+        vehicles += 1
     return counts
 
 
@@ -708,6 +797,32 @@ class TestOneMemoPerSession:
         assert simulated.count == sum(1 for count in counts if count)
         assert snapshot.counter("vehicles.simulated") == sum(counts)
         assert snapshot.counter("simulate.memo_hits") == 48 - sum(counts)
+
+    def test_first_occurrences_are_spread_over_several_items(self, monkeypatch):
+        # baseline_cruise at seed 0 draws 61 distinct keys, 56 of them
+        # among the first 150 vehicles (one id-range chunk).  Cut at
+        # ceil(150 / (2 + 2)) = 38 misses, they reach the workers in
+        # several items instead of one.
+        cut_work_items, cut = session_module.cut_work_items, []
+
+        def recording_cutter(*args):
+            for item in cut_work_items(*args):
+                cut.append(len(item[1]))
+                yield item
+
+        monkeypatch.setattr(session_module, "cut_work_items", recording_cutter)
+        config = ExperimentConfig(
+            scenario="baseline_cruise", vehicles=1200, seed=0, workers=2
+        )
+        with FleetSession(config, telemetry=True) as session:
+            result = session.run()
+            snapshot = session.metrics_snapshot()
+        submitted = [misses for misses in cut if misses]
+        assert snapshot.counter("vehicles.simulated") == result.kernel_runs == 61
+        assert snapshot.histogram("phase.simulate.wall_seconds").count == len(submitted)
+        assert sum(submitted) == 61
+        assert max(submitted) <= 38
+        assert len(submitted) >= 2
 
     @pytest.mark.parametrize(
         "overrides, recovery",

@@ -26,10 +26,12 @@ from repro.fleet.resilience import (
     apply_worker_fault,
 )
 from repro.fleet.runner import OutcomeMemo
+from repro.fleet.scenarios import FleetScenario, VehicleAction, temporary_scenario
 from repro.fleet.transfer import SHM_AVAILABLE, shm_segment_names
 from repro.obs import clock
 
-#: Small-and-fast fault-test fleet: 8 chunks of 6 cheap vehicles.
+#: Small-and-fast fault-test fleet: 48 cheap vehicles, cut into work
+#: items of at most 6.
 VEHICLES = 48
 CHUNK = 6
 
@@ -319,16 +321,31 @@ class TestShmDrop:
 
 
 def _chunk_with_nothing_to_run(config: ExperimentConfig) -> int:
-    """Index of the first chunk whose every key an earlier chunk holds."""
+    """Index of the first work item whose every key an earlier item holds.
+
+    Recomputed from the keys by the cutting rule: an item closes at
+    ``chunk_size`` vehicles or at ``ceil(chunk_size / (workers + 2))``
+    first occurrences, whichever comes first.
+    """
     with FleetSession(config) as session:
         specs = session.vehicle_specs()
-    size, seen = config.chunk_size, set()
-    for start in range(0, len(specs), size):
-        keys = {OutcomeMemo.key(spec) for spec in specs[start:start + size]}
-        if keys <= seen:
-            return start // size
-        seen |= keys
-    raise AssertionError("every chunk holds a first occurrence")
+    size = config.chunk_size
+    cap = -(-size // (config.workers + 2))
+    seen: set = set()
+    index, vehicles, misses = 0, 0, 0
+    for spec in specs:
+        key = OutcomeMemo.key(spec)
+        if key not in seen:
+            seen.add(key)
+            misses += 1
+        vehicles += 1
+        if vehicles == size or misses == cap:
+            if misses == 0:
+                return index
+            index, vehicles, misses = index + 1, 0, 0
+    if vehicles and not misses:
+        return index
+    raise AssertionError("every work item holds a first occurrence")
 
 
 class TestChunksWithNothingToRun:
@@ -384,6 +401,30 @@ class TestSegmentHygiene:
         config = _config(retry=0, degrade=False)
         with FleetSession(config, fault_plan=plan) as session:
             with pytest.raises(ChunkFailedError):
+                session.run()
+            _settle_orphans(session)
+        assert sorted(shm_segment_names() - before) == []
+
+    def test_a_script_failing_mid_stream_leaks_no_segments(self):
+        # The parent cuts ahead while workers run: when the lazy spec
+        # stream raises, submitted items -- finished or not -- hold
+        # segments that the abandoned window must reclaim.
+        def failing_script(index, rng, params):
+            if index == 30:
+                raise RuntimeError("script failed at vehicle 30")
+            return (VehicleAction(0.0, "drive", {"accel": 30 + index}),)
+
+        scenario = FleetScenario(
+            name="failing_mid_stream",
+            description="raises while the window is in flight",
+            duration_s=0.05,
+            mix=(("hpe+selinux", 1.0),),
+            script=failing_script,
+        )
+        before = shm_segment_names()
+        config = _config(scenario="failing_mid_stream", spec_transfer="shm")
+        with temporary_scenario(scenario), FleetSession(config) as session:
+            with pytest.raises(RuntimeError, match="vehicle 30"):
                 session.run()
             _settle_orphans(session)
         assert sorted(shm_segment_names() - before) == []

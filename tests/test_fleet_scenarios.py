@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from repro.fleet.runner import simulate_vehicle
 from repro.fleet.scenarios import (
     FleetScenario,
     VehicleAction,
@@ -148,7 +149,7 @@ class TestParameterAwareScripts:
         override = {
             "baseline_cruise": {"accel_range": (1, 2)},
             "fleet_replay_storm": {"replay_messages": ("DOOR_LOCK_CMD",)},
-            "staggered_ota_rollout": {"update_window_s": (0.40, 0.44)},
+            "staggered_ota_rollout": {"update_window_s": (0.30, 0.34)},
             "mixed_ev_dos": {"dos_targets": ("EPS",)},
             "fuzz_probe": {"frames_range": (5, 10)},
         }[name]
@@ -164,11 +165,20 @@ class TestParameterAwareScripts:
 
     def test_update_window_bounds_the_policy_update_times(self):
         scenario = get_scenario("staggered_ota_rollout").with_parameters(
-            update_window_s=[0.40, 0.44]
+            update_window_s=[0.30, 0.34]
         )
         for spec in scenario.vehicle_specs(20, seed=3):
             (update,) = [a for a in spec.actions if a.kind == "policy_update"]
-            assert 0.40 <= update.time <= 0.44
+            assert 0.30 <= update.time <= 0.34
+
+    def test_a_window_that_times_attacks_past_the_duration_is_refused(self):
+        # Each vehicle's T05 attack follows its update by 0.05 s, which
+        # a [0.40, 0.44] window puts past the 0.45 s duration.
+        scenario = get_scenario("staggered_ota_rollout").with_parameters(
+            update_window_s=[0.40, 0.44]
+        )
+        with pytest.raises(ValueError, match=r"vehicle 0: 'attack' action at 0\.4\d+ s"):
+            scenario.vehicle_specs(20, seed=3)
 
 
 #: SHA-256 over the canonical JSON of the first 200 specs of each
@@ -283,6 +293,40 @@ class TestSpecMaterialisation:
     def test_fleet_size_must_be_positive(self):
         with pytest.raises(ValueError):
             get_scenario("baseline_cruise").vehicle_specs(0, seed=1)
+
+
+class TestLateActions:
+    """An action is timed within its vehicle's duration, or refused."""
+
+    @staticmethod
+    def _spec(attack_at: float) -> VehicleSpec:
+        return VehicleSpec(
+            vehicle_id=7,
+            scenario="hand-built",
+            enforcement="hpe+selinux",
+            seed=1,
+            duration_s=0.3,
+            actions=(
+                VehicleAction(0.0, "drive", {"accel": 50}),
+                VehicleAction(attack_at, "attack", {"threat_id": "T01"}),
+            ),
+        )
+
+    def test_an_action_after_the_duration_is_refused(self):
+        with pytest.raises(ValueError) as excinfo:
+            self._spec(0.35)
+        message = str(excinfo.value)
+        for part in ("vehicle 7", "'attack' action at 0.35 s", "duration of 0.3 s"):
+            assert part in message
+
+    def test_a_late_action_is_refused_through_from_dict(self):
+        data = self._spec(0.3).to_dict()
+        data["actions"][1]["time"] = 0.31
+        with pytest.raises(ValueError, match="vehicle 7"):
+            VehicleSpec.from_dict(data)
+
+    def test_an_action_at_exactly_the_duration_runs(self):
+        assert simulate_vehicle(self._spec(0.3)).attacks_attempted == 1
 
 
 class TestSerialisationRoundTrip:

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import ExperimentConfig, FleetSession
+from repro.fleet.resilience import FaultPlan
 from repro.fleet.results import OUTCOME_COLUMNS, VehicleOutcome
-from repro.fleet.runner import _chunked
 from repro.fleet.scenarios import (
     FleetScenario,
     VehicleAction,
@@ -214,25 +214,6 @@ class TestModeResolution:
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
 
-class TestChunkedLaziness:
-    def test_chunked_pulls_only_what_it_yields(self):
-        pulled = []
-
-        def source():
-            for i in range(100):
-                pulled.append(i)
-                yield i
-
-        chunks = _chunked(source(), 10)
-        assert next(chunks) == list(range(10))
-        assert len(pulled) == 10  # nothing beyond the first chunk
-        assert next(chunks) == list(range(10, 20))
-        assert len(pulled) == 20
-
-    def test_chunked_handles_ragged_tails(self):
-        assert list(_chunked(iter(range(7)), 3)) == [[0, 1, 2], [3, 4, 5], [6]]
-
-
 class TestFingerprintParity:
     """The acceptance sweep: one fingerprint per (scenario, seed)
     regardless of spec_transfer mode, worker count, or whether specs
@@ -312,9 +293,9 @@ class TestLazySessionStream:
 
     def test_parallel_run_generates_specs_as_the_window_advances(self):
         """The parent must not materialise the fleet before submitting:
-        with a window of workers + 2 chunks, the number of specs
-        generated by the time the first outcome arrives is far below
-        the fleet size."""
+        with a window of (workers + 2) * chunk_size vehicles, the number
+        of specs generated by the time the first outcome arrives is far
+        below the fleet size."""
         generated = []
 
         def probe_script(index, rng, params):
@@ -335,9 +316,40 @@ class TestLazySessionStream:
         with temporary_scenario(scenario), FleetSession(config) as session:
             stream = session.iter_outcomes()
             next(stream)
-            # Window is workers + 2 = 4 chunks of 10, plus one chunk
-            # prefetched on first consumption.
+            # The window holds (workers + 2) * chunk_size = 40 vehicles;
+            # the item admitted last may overshoot it by less than one
+            # item.
             assert len(generated) <= 5 * config.chunk_size
             remaining = sum(1 for _ in stream)
         assert remaining == config.vehicles - 1
         assert len(generated) == config.vehicles
+
+    def test_parent_fills_the_window_while_the_head_item_runs(self):
+        """While the head item is still running, the parent keeps
+        generating and splitting specs until the window is full, then
+        waits: it generates (workers + 2) * chunk_size vehicles, within
+        one item, before the first outcome."""
+        generated = []
+
+        def probe_script(index, rng, params):
+            generated.append(index)
+            return (VehicleAction(0.0, "drive", {"accel": 40 + index % 7}),)
+
+        scenario = FleetScenario(
+            name="window_fill_probe",
+            description="a repeating fleet that records generation order",
+            duration_s=0.05,
+            mix=(("unprotected", 1.0),),
+            script=probe_script,
+        )
+        config = ExperimentConfig(
+            scenario="window_fill_probe", vehicles=200, seed=1,
+            workers=2, chunk_size=10,
+        )
+        window = (config.workers + 2) * config.chunk_size
+        plan = FaultPlan.parse("stall:chunk=0,seconds=1")
+        with temporary_scenario(scenario), FleetSession(config, fault_plan=plan) as session:
+            stream = session.iter_outcomes()
+            next(stream)
+            assert window <= len(generated) < window + config.chunk_size
+            assert sum(1 for _ in stream) == config.vehicles - 1

@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api.cli import main
 from repro.api.config import ExperimentConfig
 from repro.api.session import FleetSession
 from repro.obs import clock
@@ -183,6 +184,41 @@ class TestServiceState:
             cancelled = client.cancel(job_id)
             assert cancelled["state"] == "cancelled"
             assert client.job(job_id)["state"] == "cancelled"
+
+
+class TestSubmitRefusesWhatCannotRun:
+    """A config no drain attempt could run is a 400 and queues nothing."""
+
+    @pytest.mark.parametrize(
+        "overrides, named",
+        [
+            ({"scenario": "no_such_scenario"}, "no_such_scenario"),
+            ({"scenario_parameters": {"no_such_knob": 1}}, "no_such_knob"),
+        ],
+        ids=["unregistered-scenario", "undeclared-parameter"],
+    )
+    def test_bad_body_is_a_400_and_leaves_the_queue_empty(
+        self, tmp_path, overrides, named
+    ):
+        with ExperimentService(tmp_path / "idle.db", port=0, drain_workers=0) as idle:
+            client = ServiceClient(idle.url)
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit({**CONFIG.to_dict(), **overrides})
+            assert excinfo.value.status == 400
+            message = str(excinfo.value).split("400: ", 1)[1]
+            assert named in message and not message.startswith('"')
+            assert client.jobs() == []
+
+    def test_jobs_submit_with_an_undeclared_param_exits_2(self, tmp_path, capsys):
+        with ExperimentService(tmp_path / "idle.db", port=0, drain_workers=0) as idle:
+            status = main([
+                "jobs", "submit", "--url", idle.url,
+                "--scenario", "staggered_ota_rollout", "--vehicles", "2",
+                "--param", "no_such_knob=1",
+            ])
+            assert status == 2
+            assert "update_window_s" in capsys.readouterr().err
+            assert ServiceClient(idle.url).jobs() == []
 
 
 class TestCliShutdown:
