@@ -17,7 +17,12 @@ safe:
   :func:`invalidate`, which moves it; a bus drops every plan it holds
   when it sees the epoch has moved.  The epoch can only over-invalidate:
   a mutation nobody's plan depended on costs a recompile, never a stale
-  decision.
+  decision.  An HPE's side of receive state is its read decision: a
+  table install moves the epoch only when the read mask or read
+  overflow changes, a policy push whose lists equal the installed ones
+  keeps the table and moves nothing, and clearing a table or resetting
+  decision counters always moves it (see
+  :class:`~repro.hpe.engine.HardwarePolicyEngine`).
 * :data:`pending` -- the plans holding tallies not yet expanded.
   :func:`settle` expands them; it runs when
   :meth:`~repro.can.scheduler.EventScheduler.run` or

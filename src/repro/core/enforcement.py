@@ -262,28 +262,21 @@ class EnforcementCoordinator:
         self.sync_count += 1
         situation = CarSituation.observe(car)
         if self.config.use_hpe and self.engines:
-            effective = self._evaluator.effective_for_all(
-                self.policy, situation, nodes=list(self.engines)
+            # One cached plan holds every engine's lists and table for
+            # this (policy, situation), shared by every car the evaluator
+            # serves.  Every engine still gets its push: a push whose
+            # lists are unchanged keeps the engine's table and the bus's
+            # fan-out plans (see HardwarePolicyEngine.update_policy).
+            plan = self._evaluator.push_plan(
+                self.policy, situation, tuple(self.engines), self.config.compile_tables
             )
-            compile_tables = self.config.compile_tables
-            for node_name, engine in self.engines.items():
-                node_policy = effective[node_name]
-                updated = engine.update_policy(
-                    approved_reads=node_policy.sorted_read_ids,
-                    approved_writes=node_policy.sorted_write_ids,
-                    key=_CONFIGURATION_KEY,
-                    source=TamperSource.OEM_UPDATE_CHANNEL,
-                )
-                if updated:
+            for engine, (reads, writes, table) in zip(self.engines.values(), plan):
+                if engine.update_policy(
+                    reads, writes, key=_CONFIGURATION_KEY, source=TamperSource.OEM_UPDATE_CHANNEL
+                ):
                     self.policy_pushes += 1
-                    if compile_tables:
-                        # Lower the freshly pushed lists to the bitmask
-                        # fast path (shared via the evaluator's LRU).
-                        engine.install_compiled_table(
-                            self._evaluator.compile_for_node(
-                                node_name, self.policy, situation
-                            )
-                        )
+                    if table is not None:
+                        engine.install_compiled_table(table)
         return situation
 
     # -- pool reuse ------------------------------------------------------------------------

@@ -50,26 +50,18 @@ class EffectiveNodePolicy:
 
     @property
     def sorted_read_ids(self) -> tuple[int, ...]:
-        """The read identifiers in ascending order (memoised).
-
-        The enforcement coordinator pushes sorted lists on every sync;
-        effective policies are cached and shared fleet-wide, so the sort
-        runs once per cache entry instead of once per push.
-        """
-        cached = self.__dict__.get("_sorted_read_ids")
-        if cached is None:
-            cached = tuple(sorted(self.read_ids))
-            object.__setattr__(self, "_sorted_read_ids", cached)
-        return cached
+        """The read identifiers in ascending order, as a push carries them."""
+        return tuple(sorted(self.read_ids))
 
     @property
     def sorted_write_ids(self) -> tuple[int, ...]:
-        """The write identifiers in ascending order (memoised)."""
-        cached = self.__dict__.get("_sorted_write_ids")
-        if cached is None:
-            cached = tuple(sorted(self.write_ids))
-            object.__setattr__(self, "_sorted_write_ids", cached)
-        return cached
+        """The write identifiers in ascending order, as a push carries them."""
+        return tuple(sorted(self.write_ids))
+
+
+#: What one sync pushes: per node, ``(sorted read ids, sorted write ids,
+#: compiled table or None)`` (see :meth:`PolicyEvaluator.push_plan`).
+PushPlan = tuple[tuple[tuple[int, ...], tuple[int, ...], CompiledDecisionTable | None], ...]
 
 
 class PolicyEvaluator:
@@ -103,6 +95,8 @@ class PolicyEvaluator:
         #: Compiled decision tables, cached alongside the effective
         #: policies under the same keys.
         self._compiled: OrderedDict[tuple, CompiledDecisionTable] = OrderedDict()
+        #: key: (policy digest, situation, nodes, compile_tables)
+        self._push_plans: OrderedDict[tuple, PushPlan] = OrderedDict()
         self.cache_hits = 0
         self.cache_misses = 0
         self.cache_flushes = 0
@@ -112,9 +106,10 @@ class PolicyEvaluator:
     # -- decision cache ----------------------------------------------------------------
 
     def invalidate(self) -> None:
-        """Drop every cached effective policy and compiled table (all policies)."""
+        """Drop every cached effective policy, compiled table and push plan."""
         self._cache.clear()
         self._compiled.clear()
+        self._push_plans.clear()
         self.cache_flushes += 1
 
     @property
@@ -197,14 +192,42 @@ class PolicyEvaluator:
             self._compiled.popitem(last=False)
         return table
 
-    def compile_for_all(
-        self, policy: SecurityPolicy, situation: CarSituation, nodes: list[str] | None = None
-    ) -> dict[str, CompiledDecisionTable]:
-        """Compiled decision tables for every node in the catalogue (or *nodes*)."""
-        node_names = nodes if nodes is not None else self.catalog.nodes()
-        return {
-            node: self.compile_for_node(node, policy, situation) for node in node_names
-        }
+    def push_plan(
+        self,
+        policy: SecurityPolicy,
+        situation: CarSituation,
+        nodes: tuple[str, ...],
+        compile_tables: bool = True,
+    ) -> PushPlan:
+        """Everything one sync pushes to *nodes* in *situation*.
+
+        One ``(sorted read ids, sorted write ids, compiled table)``
+        entry per node, in the order of *nodes*; the table is ``None``
+        without *compile_tables*.  Plans are cached in their own LRU
+        under ``(policy digest, situation, nodes, compile_tables)``, so
+        a repeated push costs one lookup instead of two per node.  A
+        plan hit counts as the per-node lookups it replaces -- one
+        cache hit per node, and one compile hit per node when it
+        carries tables -- so the hit counters read as if every node had
+        been looked up.
+        """
+        key = (policy.digest, situation, nodes, compile_tables)
+        plan = self._push_plans.get(key)
+        if plan is not None:
+            self._push_plans.move_to_end(key)
+            self.cache_hits += len(nodes)
+            if compile_tables:
+                self.compile_hits += len(nodes)
+            return plan
+        entries = []
+        for node in nodes:
+            effective = self.effective_for_node(node, policy, situation)
+            table = self.compile_for_node(node, policy, situation) if compile_tables else None
+            entries.append((effective.sorted_read_ids, effective.sorted_write_ids, table))
+        plan = self._push_plans[key] = tuple(entries)
+        if len(self._push_plans) > self._cache_capacity:
+            self._push_plans.popitem(last=False)
+        return plan
 
     def _compute_for_node(
         self, node: str, policy: SecurityPolicy, situation: CarSituation
@@ -286,8 +309,11 @@ class PolicyEvaluator:
     ) -> list[str]:
         """Nodes whose effective lists differ between two situations.
 
-        The enforcement coordinator uses this to push updates only to the
-        engines that actually need reconfiguring on a situation change.
+        An analysis helper.  The enforcement coordinator does not use it
+        to skip engines: every sync pushes to every engine, because each
+        push counts in ``policy_pushes`` and in the engine's tamper log.
+        An engine whose lists did not change keeps its compiled table
+        (see :meth:`repro.hpe.engine.HardwarePolicyEngine.update_policy`).
         """
         changed: list[str] = []
         for node in self.catalog.nodes():

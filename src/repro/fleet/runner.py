@@ -126,11 +126,19 @@ def _advance_to(kernel: FleetKernel, car: ConnectedCar) -> None:
 
     Attack primitives advance the car internally (``car.run(0.05)``
     inside scenario bodies), so the bus may already be ahead; only the
-    forward direction is meaningful.
+    forward direction is meaningful.  An action whose time the car has
+    already passed runs late, at the car's clock.  With telemetry on,
+    each late action counts in ``simulate.late_actions`` and its lag in
+    simulated seconds lands in ``simulate.late_action_lag_seconds``.
     """
     delta = kernel.now - car.scheduler.now
     if delta > 0:
         car.run(delta)
+    elif delta < 0:
+        registry = _obs_metrics.ACTIVE
+        if registry.enabled:
+            registry.inc("simulate.late_actions")
+            registry.observe("simulate.late_action_lag_seconds", -delta)
 
 
 def _do_drive(kernel: FleetKernel, car: ConnectedCar, action: VehicleAction) -> None:

@@ -460,7 +460,14 @@ def _replay_storm_script(
 def _ota_rollout_script(
     index: int, rng: random.Random, params: dict
 ) -> tuple[VehicleAction, ...]:
-    """Staggered post-deployment policy update under an active attacker."""
+    """Staggered post-deployment policy update under an active attacker.
+
+    The T01 attack runs the car to 0.15 s inside its own body, so an
+    update drawn earlier than that applies late, at 0.15 s, and its T05
+    attack may run late too (at seed 0, 300 vehicles: 97 updates up to
+    70 ms late, 29 T05 attacks up to 20 ms).  The fingerprints pin this
+    timing; telemetry counts it as ``simulate.late_actions``.
+    """
     update_at = round(rng.uniform(*params["update_window_s"]), 4)
     return (
         VehicleAction(0.0, "drive", {"accel": rng.randint(40, 80)}),

@@ -185,6 +185,10 @@ class ApprovedIdList:
         index = bisect_right(starts, can_id) - 1
         return index >= 0 and can_id <= merged[index][1]
 
+    def matches(self, ids: Iterable[int], ranges: Iterable[IdRange] = ()) -> bool:
+        """Whether :meth:`replace` with these arguments would change nothing."""
+        return self._ids == set(ids) and self._ranges == list(ranges)
+
     def explicit_ids(self) -> frozenset[int]:
         """The individually approved identifiers (memoised frozen view)."""
         frozen = self._frozen_ids

@@ -137,8 +137,18 @@ class HardwarePolicyEngine:
         independent source of decisions.  Any later list change through
         :meth:`update_policy` drops the table again, so a stale table
         can never outlive the lists it was compiled from.
+
+        Only the read side feeds the bus's compiled fan-out plans, so
+        the fan-out epoch moves only when the read mask or the read
+        overflow differs from the installed one (or no table was
+        installed); a table whose read side is unchanged keeps every
+        plan.
         """
-        invalidate()
+        if (
+            table.read_mask != self._compiled_read_mask
+            or table.read_overflow != self._compiled_read_over
+        ):
+            invalidate()
         self._compiled = table
         self._compiled_read_mask = table.read_mask
         self._compiled_write_mask = table.write_mask
@@ -197,6 +207,13 @@ class HardwarePolicyEngine:
         Only an authorised source presenting the correct key succeeds.
         Every attempt -- including rejected ones -- is recorded in the
         tamper log.  Returns ``True`` on success.
+
+        An authorised update whose lists equal the installed ones is
+        still a successful push (logged and returning ``True``), but it
+        replaces nothing: the compiled table stays installed and the
+        fan-out epoch (:mod:`repro.can.fanout`) does not move.  An
+        update that changes a list drops the table, which moves the
+        epoch.
         """
         approved_reads = list(approved_reads)
         approved_writes = list(approved_writes)
@@ -206,17 +223,23 @@ class HardwarePolicyEngine:
         if not is_authorised(source) or key != self._configuration_key:
             self.tamper_log.record(source, description, succeeded=False)
             return False
-        self._read_list._unlock_internal()
-        self._write_list._unlock_internal()
-        try:
-            self._read_list.replace(approved_reads, read_ranges)
-            self._write_list.replace(approved_writes, write_ranges)
-        finally:
-            self._read_list.lock()
-            self._write_list.lock()
-        # The lists changed: any installed compiled table is now stale.
-        # The installer (the coordinator) re-installs a fresh one.
-        self.clear_compiled_table()
+        read_ranges = list(read_ranges)
+        write_ranges = list(write_ranges)
+        if not (
+            self._read_list.matches(approved_reads, read_ranges)
+            and self._write_list.matches(approved_writes, write_ranges)
+        ):
+            self._read_list._unlock_internal()
+            self._write_list._unlock_internal()
+            try:
+                self._read_list.replace(approved_reads, read_ranges)
+                self._write_list.replace(approved_writes, write_ranges)
+            finally:
+                self._read_list.lock()
+                self._write_list.lock()
+            # The lists changed: any installed compiled table is now
+            # stale.  The installer (the coordinator) re-installs one.
+            self.clear_compiled_table()
         self.tamper_log.record(source, description, succeeded=True)
         return True
 

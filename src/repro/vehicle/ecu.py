@@ -66,6 +66,9 @@ class VehicleECU:
         self._dispatches_handle_frame = (
             type(self).handle_frame is not VehicleECU.handle_frame
         )
+        #: ``(period s, callback, label)`` per periodic catalogue
+        #: message, resolved by the first :meth:`start_periodic_broadcasts`.
+        self._periodic_schedule: tuple[tuple[float, Callable[[], None], str], ...] | None = None
         self._configure_default_filters()
 
     # -- configuration --------------------------------------------------------------
@@ -203,15 +206,22 @@ class VehicleECU:
         """
         if self.node.bus is None:
             raise RuntimeError(f"{self.name} must be attached to a bus first")
-        scheduler = self.node.bus.scheduler
-        for message in self.catalog.produced_by(self.name):
-            if message.period_ms is None:
-                continue
-            scheduler.schedule_periodic(
-                message.period_ms / 1000.0,
-                partial(self._periodic_send_message, message),
-                label=f"{self.name}:{message.name}",
+        schedule = self._periodic_schedule
+        if schedule is None:
+            # Resolved once per ECU: a pooled car's reset re-schedules
+            # the same series without rescanning the catalogue.
+            schedule = self._periodic_schedule = tuple(
+                (
+                    message.period_ms / 1000.0,
+                    partial(self._periodic_send_message, message),
+                    f"{self.name}:{message.name}",
+                )
+                for message in self.catalog.produced_by(self.name)
+                if message.period_ms is not None
             )
+        schedule_periodic = self.node.bus.scheduler.schedule_periodic
+        for period, callback, label in schedule:
+            schedule_periodic(period, callback, label=label)
 
     def _periodic_send(self, message_name: str) -> None:
         if not self._operational:

@@ -47,6 +47,24 @@ class TestConnectedCarReset:
             assert ecu.events == []
             assert ecu.operational
 
+    def test_reset_reschedules_periodic_traffic_without_the_catalogue(
+        self, builder, monkeypatch
+    ):
+        def queue(car):
+            return sorted((t, s, task.label) for t, s, task in car.scheduler._queue)
+
+        car = builder.build_car(EnforcementConfig.full(), start_periodic_traffic=True)
+        fresh = queue(car)
+        assert fresh
+
+        def no_scan(*args, **kwargs):
+            raise AssertionError("reset rescanned the message catalogue")
+
+        monkeypatch.setattr(type(car.catalog), "produced_by", no_scan)
+        car.run(0.2)
+        car.reset()
+        assert queue(car) == fresh
+
     def test_reset_detaches_rogue_nodes_and_restores_firmware(self, builder):
         car = builder.build_car(EnforcementConfig.full())
         MaliciousNode(car, name="Rogue")

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.can import fanout
 from repro.can.frame import MAX_STANDARD_ID, CANFrame
 from repro.core.compiled import CompiledDecisionTable, build_mask, mask_to_ids
 from repro.core.policy import (
@@ -161,6 +162,36 @@ class TestEngineEquivalence:
         assert not fast.update_policy((0x40,), (0x50,), key=0xBAD)
         assert fast.compiled_table is not None
         assert fast.permit_read(CANFrame(can_id=0x10))
+
+    def test_unchanged_update_keeps_table_and_epoch(self):
+        plain, fast = _engine_pair((0x10, 0x20), (0x30,))
+        table, epoch = fast.compiled_table, fanout.epoch
+        assert fast.update_policy([0x20, 0x10], (0x30,), key=0xC0FFEE)
+        assert fast.compiled_table is table
+        assert fanout.epoch == epoch
+        assert fast.tamper_log.attempts()[-1].description == (
+            "policy update: 2 read ids, 1 write ids"
+        )
+
+    def test_only_a_read_side_change_moves_the_epoch(self):
+        plain, fast = _engine_pair((0x10,), (0x30,))
+        epoch = fanout.epoch
+        fast.install_compiled_table(
+            CompiledDecisionTable("n", build_mask((0x10,)), build_mask((0x31,)))
+        )
+        assert fanout.epoch == epoch
+        assert fast.permit_write(CANFrame(can_id=0x31))
+        fast.install_compiled_table(
+            CompiledDecisionTable("n", build_mask((0x11,)), build_mask((0x31,)))
+        )
+        assert fanout.epoch > epoch
+        epoch = fanout.epoch
+        fast.install_compiled_table(
+            CompiledDecisionTable(
+                "n", build_mask((0x11,)), build_mask((0x31,)), read_overflow=frozenset({0x1000})
+            )
+        )
+        assert fanout.epoch > epoch
 
 
 @given(

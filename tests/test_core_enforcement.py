@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.can import fanout
 from repro.can.frame import CANFrame
 from repro.core.enforcement import (
     EnforcementConfig,
@@ -10,6 +11,7 @@ from repro.core.enforcement import (
 )
 from repro.core.policy import AccessRule, CarSituation, Direction, RuleEffect
 from repro.hpe.engine import HardwarePolicyEngine
+from repro.hpe.tamper import TamperSource
 from repro.vehicle.messages import NODE_EV_ECU, NODE_INFOTAINMENT, NODE_SAFETY
 from repro.vehicle.modes import CarMode
 
@@ -103,6 +105,37 @@ class TestSynchronisation:
         situation = protected_car.enforcement_coordinator.sync(protected_car)
         assert isinstance(situation, CarSituation)
         assert situation.mode is protected_car.mode
+
+    def test_pushes_that_change_nothing_keep_tables_and_fanout_plans(self, protected_car):
+        """Every sync pushes to every engine, but only a changed read
+        side invalidates the bus's compiled fan-out plans."""
+        car = protected_car
+        coordinator = car.enforcement_coordinator
+        engines = coordinator.engines
+        tables = {name: engine.compiled_table for name, engine in engines.items()}
+        logs = {name: len(engine.tamper_log.attempts()) for name, engine in engines.items()}
+        pushes = coordinator.policy_pushes
+        epoch = fanout.epoch
+        for sync in (1, 2):
+            coordinator.sync(car)
+            assert fanout.epoch == epoch
+            assert coordinator.policy_pushes == pushes + sync * len(engines)
+            for name, engine in engines.items():
+                assert engine.compiled_table is tables[name]
+                attempts = engine.tamper_log.attempts()
+                assert len(attempts) == logs[name] + sync
+                assert attempts[-1].source is TamperSource.OEM_UPDATE_CHANNEL
+                assert attempts[-1].succeeded
+                assert attempts[-1].description == (
+                    f"policy update: {len(engine.approved_read_ids)} read ids, "
+                    f"{len(engine.approved_write_ids)} write ids"
+                )
+        # In motion the door locks stop reading the unlock command.
+        car.door_locks.set_motion(True)
+        coordinator.sync(car)
+        assert fanout.epoch > epoch
+        assert engines["DoorLocks"].compiled_table is not tables["DoorLocks"]
+        assert coordinator.policy_pushes == pushes + 3 * len(engines)
 
     def test_motion_changes_doorlock_policy(self, protected_car):
         car = protected_car

@@ -310,3 +310,48 @@ class TestDecisionCache:
     def test_capacity_must_be_positive(self, catalog):
         with pytest.raises(ValueError):
             PolicyEvaluator(catalog, cache_capacity=0)
+
+
+class TestPushPlan:
+    """One cached push per (policy, situation): what a sync pushes."""
+
+    NODES = (NODE_EV_ECU, NODE_DOOR_LOCKS, NODE_SENSORS)
+
+    def test_plan_holds_each_nodes_sorted_lists_and_table(self, catalog):
+        cached = PolicyEvaluator(catalog)
+        policy = SecurityPolicy("p", access_rules=[DENY_EV_ECU_READS])
+        situation = CarSituation(in_motion=True)
+        plan = cached.push_plan(policy, situation, self.NODES)
+        reference = PolicyEvaluator(catalog)
+        for node, (reads, writes, table) in zip(self.NODES, plan):
+            effective = reference.effective_for_node(node, policy, situation)
+            assert reads == tuple(sorted(effective.read_ids))
+            assert writes == tuple(sorted(effective.write_ids))
+            assert table == reference.compile_for_node(node, policy, situation)
+        assert all(
+            table is None
+            for _, _, table in cached.push_plan(
+                policy, situation, self.NODES, compile_tables=False
+            )
+        )
+
+    def test_a_hit_counts_one_lookup_per_node(self, catalog):
+        cached = PolicyEvaluator(catalog)
+        policy = empty_policy()
+        plan = cached.push_plan(policy, CarSituation(), self.NODES)
+        counts = (cached.cache_hits, cached.cache_misses, cached.compile_hits, cached.compile_misses)
+        assert counts == (3, 3, 0, 3)
+        # An equal-content policy shares the plan.
+        assert cached.push_plan(empty_policy(), CarSituation(), self.NODES) is plan
+        assert cached.cache_hits == 6 and cached.compile_hits == 3
+        assert (cached.cache_misses, cached.compile_misses) == (3, 3)
+
+    def test_policy_situation_and_nodes_key_the_plan(self, catalog):
+        cached = PolicyEvaluator(catalog)
+        policy = empty_policy()
+        plan = cached.push_plan(policy, CarSituation(), self.NODES)
+        assert cached.push_plan(policy.next_version(), CarSituation(), self.NODES) is not plan
+        assert cached.push_plan(policy, CarSituation(alarm_armed=True), self.NODES) is not plan
+        assert cached.push_plan(policy, CarSituation(), self.NODES[:2]) is not plan
+        cached.invalidate()
+        assert cached.push_plan(policy, CarSituation(), self.NODES) is not plan

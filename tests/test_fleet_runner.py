@@ -185,3 +185,26 @@ class TestOtaRollout:
         faithful = ExperimentConfig.faithful("staggered_ota_rollout", 60)
         with FleetSession(faithful) as session:
             assert session.run().fingerprint() == result.fingerprint()
+
+
+class TestLateActions:
+    """An action whose time an earlier attack's internal ``car.run()``
+    already passed runs late, at the car's clock; telemetry counts it."""
+
+    @pytest.mark.parametrize(
+        "scenario, late, lag_s",
+        [("staggered_ota_rollout", 12, 0.3576), ("fleet_replay_storm", 13, 0.244)],
+    )
+    def test_late_actions_and_their_lag_are_counted(self, scenario, late, lag_s):
+        config = ExperimentConfig(scenario=scenario, vehicles=40, seed=0, workers=1)
+        with FleetSession(config, telemetry=True) as session:
+            result = session.run()
+            snapshot = session.metrics_snapshot()
+        assert snapshot.counter("simulate.late_actions") == late
+        lag = snapshot.histogram("simulate.late_action_lag_seconds")
+        assert lag.count == late
+        assert lag.sum == pytest.approx(lag_s)
+        # Counting moves nothing, and telemetry off records nothing.
+        with FleetSession(config) as session:
+            assert session.run().fingerprint() == result.fingerprint()
+            assert session.metrics_snapshot().counter("simulate.late_actions") == 0
