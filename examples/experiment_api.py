@@ -28,11 +28,11 @@ SEED = 2018
 
 
 def main() -> None:
-    # 1. One frozen config captures the whole experiment.  Presets bundle
-    #    the common shapes: debug() (full traces, fresh cars, 1 worker),
-    #    throughput() (counters, pooled, compiled, 4 workers) and
-    #    faithful() (the pre-optimisation object decision path).  All
-    #    three produce the same fleet fingerprint.
+    # 1. One frozen config captures the whole experiment.  Two presets
+    #    bundle the execution settings: throughput() (the fast path on
+    #    4 workers) and faithful() (reference=True: full traces, fresh
+    #    cars, the object decision path, every vehicle simulated).  Both
+    #    produce the same fleet fingerprint.
     config = ExperimentConfig.throughput(SCENARIO, VEHICLES, seed=SEED, workers=2)
     print("== Experiment config ==")
     print(config.to_json())

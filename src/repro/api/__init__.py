@@ -6,9 +6,9 @@ Everything a fleet experiment needs comes through three names:
   JSON-round-trippable value: the six experiment fields that decide the
   fleet fingerprint and the config hash (scenario, scenario parameters,
   fleet size, seed, first vehicle id, enforcement override) plus the
-  execution settings (trace retention, workers, chunking, transfer, the
-  pool/compiled toggles, resilience), with named presets (``debug`` /
-  ``throughput`` / ``faithful``) of those settings.
+  execution settings (the fast or the ``reference`` path, workers,
+  chunking, transfer, resilience), with named presets (``throughput`` /
+  ``faithful``) of those settings.
 * :class:`~repro.api.session.FleetSession` -- the façade owning the
   builder, car pools and worker processes: ``run()`` for the aggregate,
   ``iter_outcomes()`` to stream per-vehicle outcomes in id order with

@@ -49,7 +49,6 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.api.config import PRESETS, ExperimentConfig
 from repro.api.session import FleetSession
-from repro.can.trace import TraceLevel
 from repro.fleet.resilience import FaultPlan, FleetExecutionError
 from repro.fleet.scenarios import get_scenario, registered_scenarios
 from repro.fleet.transfer import SPEC_TRANSFER_MODES
@@ -125,15 +124,12 @@ CONFIG_FLAGS: dict[str, tuple[str, dict, str]] = {
         "override a parameter the scenario declares (VALUE parsed as JSON; "
         "repeatable); a KEY the scenario does not declare is refused",
     ),
-    "trace_level": (
-        "--trace-level",
-        {"choices": [level.value for level in TraceLevel]},
-        "bus-trace retention (fingerprints identical across levels)",
-    ),
-    "inbox_limit": (
-        "--inbox-limit",
-        {"type": _or_none(int), "metavar": "N|none"},
-        "per-node inbox retention ('none' keeps every frame)",
+    "reference": (
+        "--reference",
+        _TOGGLE,
+        "run the reference path (full traces, unbounded inboxes, a fresh "
+        "car per vehicle, the object decision path, every vehicle through "
+        "the kernel) instead of the fast path; fingerprints are identical",
     ),
     "workers": ("--workers", {"type": int}, "worker processes"),
     "chunk_size": (
@@ -150,14 +146,6 @@ CONFIG_FLAGS: dict[str, tuple[str, dict, str]] = {
         "through shared memory (default; falls back to pickle where "
         "unavailable), 'pickle' sends pickled lists -- fingerprints "
         "are identical either way",
-    ),
-    "reuse_cars": (
-        "--reuse-cars",
-        _TOGGLE,
-        "reset one warm car per configuration between vehicles",
-    ),
-    "compile_tables": (
-        "--compile-tables", _TOGGLE, "use compiled bitmask decision tables"
     ),
     "retry": (
         "--max-retries",
@@ -578,14 +566,7 @@ def _cmd_scenarios_show(args: argparse.Namespace) -> int:
 
 
 def _cmd_config_presets(args: argparse.Namespace) -> int:
-    serialisable = {
-        name: {
-            key: (value.value if hasattr(value, "value") else value)
-            for key, value in overrides.items()
-        }
-        for name, overrides in PRESETS.items()
-    }
-    print(json.dumps(serialisable, indent=2, sort_keys=True))
+    print(json.dumps(PRESETS, indent=2, sort_keys=True))
     return 0
 
 

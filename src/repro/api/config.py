@@ -5,32 +5,29 @@ applies the same idea to the experiments themselves.  An
 :class:`ExperimentConfig` is one frozen, validated, JSON-round-trippable
 value.  Six of its fields define the experiment (:data:`EXPERIMENT_FIELDS`:
 ``scenario``, ``scenario_parameters``, ``vehicles``, ``seed``,
-``first_vehicle_id`` and ``enforcement``).  The other ten say how to
-execute it -- trace retention, inbox bound, workers, chunking, spec
-transfer, the pool/compiled-table toggles and the retry/timeout/degrade
-posture -- and move time and memory around, never results.  The fleet
-fingerprint is a function of the experiment alone, from Python
+``first_vehicle_id`` and ``enforcement``).  The other seven say how to
+execute it -- the fast or the reference path, workers, chunking, spec
+transfer and the retry/timeout/degrade posture -- and move time and
+memory around, never results.  The fleet fingerprint is a function of
+the experiment alone, from Python
 (:class:`~repro.api.session.FleetSession`), from a sweep
 (:meth:`~repro.api.session.FleetSession.run_matrix`) or from the shell
 (``python -m repro fleet run``, see :meth:`ExperimentConfig.cli_arguments`),
 and so is :meth:`ExperimentConfig.config_hash`.
 
-Named presets bundle the three execution settings everything else is
-described in terms of:
+Two named presets bundle the execution settings:
 
-* :meth:`ExperimentConfig.debug` -- single worker, full traces,
-  unbounded inboxes, a fresh car per vehicle: everything inspectable.
-* :meth:`ExperimentConfig.throughput` -- counters-only traces, bounded
-  inboxes, pooled cars, compiled tables, multiprocess: the fast path.
-* :meth:`ExperimentConfig.faithful` -- the pre-optimisation object
-  decision path the fast path is validated against.
+* :meth:`ExperimentConfig.throughput` -- the fast path on four workers:
+  counters-only traces, bounded inboxes, pooled cars, compiled tables
+  and the outcome memo (:class:`~repro.fleet.runner.OutcomeMemo`), which
+  serves repeated behaviour keys without running the kernel.
+* :meth:`ExperimentConfig.faithful` -- ``reference=True``, the path the
+  fast one is validated against: full traces, unbounded inboxes, a fresh
+  car per vehicle, the approved-list object decision path and no memo.
 
-All three produce bit-identical fleet fingerprints and one config hash
-for the same experiment (the trace-level, pooled-reuse and
-compiled-table equivalence suites prove it).  The default and
-``throughput()`` configs also serve repeated behaviour keys from the
-outcome memo (:class:`~repro.fleet.runner.OutcomeMemo`); ``debug()`` and
-``faithful()`` simulate every vehicle.
+Both produce bit-identical fleet fingerprints and one config hash for
+the same experiment (the execution-plan property in
+``tests/test_fleet_memo.py`` proves it).
 """
 
 from __future__ import annotations
@@ -40,10 +37,10 @@ import hashlib
 import json
 import shlex
 from dataclasses import dataclass
+from typing import Callable
 
 from repro.can.trace import TraceLevel
 from repro.fleet.resilience import RetryPolicy
-from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT
 from repro.fleet.scenarios import ENFORCEMENT_LABELS, _check_fields, _freeze
 from repro.fleet.transfer import SPEC_TRANSFER_MODES
 
@@ -70,31 +67,46 @@ _ANNOTATION_TYPES = {
     "float | None": (int, float, type(None)),
 }
 
-#: Keys older configs carried that no longer mean anything: ``from_dict``
-#: drops them, so saved reports and queued service jobs still load.
-#: ``backend`` chose between execution engines whose fingerprints were
-#: identical by construction.
-_LEGACY_KEYS = ("backend",)
+
+def _legacy_toggle(name: str, value: object) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be bool, not {value!r}")
+    return value
+
+
+def _legacy_inbox_limit(value: object) -> bool:
+    if value is not None and (type(value) is not int or value < 1):
+        raise ValueError(f"inbox_limit must be an int >= 1 or None, not {value!r}")
+    return False
+
+
+def _legacy_reuse_cars(value: object) -> bool:
+    _legacy_toggle("reuse_cars", value)
+    return False
+
+
+#: Keys older configs carried, each mapped to whether its value ran the
+#: reference path: ``from_dict`` drops them and sets ``reference`` when
+#: one did, so saved reports and queued service jobs still load and
+#: still count the kernel runs they counted.  What ran without the
+#: outcome memo is the reference path: a trace level other than
+#: ``counters``, or ``compile_tables`` off.  A value the old field
+#: refused is still refused.  ``backend`` chose between execution
+#: engines whose fingerprints were identical by construction.
+_LEGACY_KEYS: dict[str, Callable[[object], bool]] = {
+    "backend": lambda value: False,
+    "trace_level": lambda value: TraceLevel.coerce(value) is not TraceLevel.COUNTERS,
+    "inbox_limit": _legacy_inbox_limit,
+    "reuse_cars": _legacy_reuse_cars,
+    "compile_tables": lambda value: not _legacy_toggle("compile_tables", value),
+}
 
 #: Field overrides applied by :meth:`ExperimentConfig.preset`.
 PRESETS: dict[str, dict[str, object]] = {
-    "debug": {
-        "workers": 1,
-        "trace_level": TraceLevel.FULL,
-        "inbox_limit": None,
-        "reuse_cars": False,
-        "compile_tables": True,
-        # Debugging wants failures loud and immediate, not healed.
-        "retry": 0,
-        "degrade": False,
-    },
     "throughput": {
+        "reference": False,
         "workers": 4,
-        "trace_level": TraceLevel.COUNTERS,
-        "inbox_limit": DEFAULT_FLEET_INBOX_LIMIT,
         "spec_transfer": "shm",
-        "reuse_cars": True,
-        "compile_tables": True,
         # Long multiprocess runs ride out transient worker loss: bounded
         # retries, a dead-worker timeout, and graceful degradation.
         "retry": 2,
@@ -102,12 +114,10 @@ PRESETS: dict[str, dict[str, object]] = {
         "degrade": True,
     },
     "faithful": {
+        "reference": True,
         "workers": 1,
-        "trace_level": TraceLevel.FULL,
-        "inbox_limit": None,
         "spec_transfer": "pickle",
-        "reuse_cars": False,
-        "compile_tables": False,
+        # The reference wants failures loud and immediate, not healed.
         "retry": 0,
         "degrade": False,
     },
@@ -147,17 +157,24 @@ class ExperimentConfig:
         reads its parameters, so an override materialises a different
         fleet; a name the scenario does not declare is refused there,
         before any spec is generated.
-    trace_level:
-        Bus-trace retention for every vehicle.
-    inbox_limit:
-        Per-node inbox retention (``None`` keeps every received frame).
+    reference:
+        ``False`` (the default) runs the fast path: counters-only bus
+        traces, ECU inboxes bounded at
+        :data:`~repro.fleet.runner.DEFAULT_FLEET_INBOX_LIMIT`, pooled
+        cars, compiled decision tables, and the session's outcome memo,
+        which simulates each distinct behaviour key once and serves
+        repeats (the result's ``kernel_runs`` says how many vehicles ran
+        the kernel).  ``True`` runs the reference path the fast one is
+        validated against: full traces, unbounded inboxes, a fresh car
+        per vehicle, the approved-list object decision path, and every
+        vehicle through the kernel.  Fingerprints are identical.
     workers / chunk_size:
         Worker processes, and the most vehicles one work item covers
         (``chunk_size=None`` sizes it as fleet size over
         ``4 * workers``, at least 8).  A parallel run cuts its work
         items from the stream by kernel runs: an item also closes at
         ``ceil(chunk_size / (workers + 2))`` vehicles the outcome memo
-        cannot serve (every vehicle, when the memo does not apply), and
+        cannot serve (every vehicle on the reference path), and
         the parent admits up to ``(workers + 2) * chunk_size`` vehicles
         ahead of its consumer.
     spec_transfer:
@@ -168,8 +185,6 @@ class ExperimentConfig:
         crosses the pipe, ``"pickle"`` sends pickled spec lists.
         ``"shm"`` falls back to ``"pickle"`` automatically where shared
         memory is unavailable.
-    reuse_cars / compile_tables:
-        The pool and compiled-decision-table toggles (both default on).
     retry:
         Times a failed chunk is re-executed before the run gives up on
         parallel execution of it (``0`` disables retries).  Every chunk
@@ -186,13 +201,6 @@ class ExperimentConfig:
         execution falls back to inline-in-parent -- instead of aborting
         the run.  ``False`` surfaces a
         :class:`~repro.fleet.resilience.ChunkFailedError` instead.
-
-    With ``trace_level="counters"`` and ``compile_tables=True`` (the
-    defaults) a run simulates each distinct behaviour key once and
-    serves repeats from an outcome memo; the result's ``kernel_runs``
-    says how many vehicles ran the kernel.  There is no switch for it:
-    the other trace levels or ``compile_tables=False`` simulate every
-    vehicle.
     """
 
     scenario: str
@@ -201,13 +209,10 @@ class ExperimentConfig:
     first_vehicle_id: int = 0
     enforcement: str | None = None
     scenario_parameters: tuple[tuple[str, object], ...] = ()
-    trace_level: TraceLevel = TraceLevel.COUNTERS
-    inbox_limit: int | None = DEFAULT_FLEET_INBOX_LIMIT
+    reference: bool = False
     workers: int = 1
     chunk_size: int | None = None
     spec_transfer: str = "shm"
-    reuse_cars: bool = True
-    compile_tables: bool = True
     retry: int = 2
     chunk_timeout_s: float | None = None
     degrade: bool = True
@@ -238,9 +243,6 @@ class ExperimentConfig:
             "scenario_parameters",
             tuple(sorted((str(key), _freeze(value)) for key, value in items)),
         )
-        object.__setattr__(self, "trace_level", TraceLevel.coerce(self.trace_level))
-        if self.inbox_limit is not None and self.inbox_limit < 1:
-            raise ValueError("inbox_limit must be >= 1 or None")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         if self.chunk_size is not None and self.chunk_size < 1:
@@ -302,18 +304,13 @@ class ExperimentConfig:
         return cls(scenario=scenario, vehicles=vehicles, **merged)
 
     @classmethod
-    def debug(cls, scenario: str, vehicles: int, **overrides) -> "ExperimentConfig":
-        """Single worker, full traces, fresh cars: everything inspectable."""
-        return cls.preset("debug", scenario, vehicles, **overrides)
-
-    @classmethod
     def throughput(cls, scenario: str, vehicles: int, **overrides) -> "ExperimentConfig":
-        """Counters-only, pooled, compiled, multiprocess: the fast path."""
+        """The fast path on four workers, healing worker failures."""
         return cls.preset("throughput", scenario, vehicles, **overrides)
 
     @classmethod
     def faithful(cls, scenario: str, vehicles: int, **overrides) -> "ExperimentConfig":
-        """The pre-optimisation object path the fast path is validated against."""
+        """The reference path the fast path is validated against."""
         return cls.preset("faithful", scenario, vehicles, **overrides)
 
     # -- serialisation --------------------------------------------------------
@@ -322,7 +319,6 @@ class ExperimentConfig:
         """JSON-friendly representation (round-trips via :meth:`from_dict`)."""
         data = {field.name: getattr(self, field.name) for field in dataclasses.fields(self)}
         data["scenario_parameters"] = dict(self.scenario_parameters)
-        data["trace_level"] = self.trace_level.value
         return data
 
     @classmethod
@@ -332,10 +328,14 @@ class ExperimentConfig:
         Unknown keys are rejected with the allowed key set (the
         dataclass fields) named -- a typo'd key would otherwise silently
         run a different experiment.  Fields without a default are
-        required.  Legacy keys (:data:`_LEGACY_KEYS`) are dropped: they
-        never changed a fingerprint.
+        required.  Legacy keys (:data:`_LEGACY_KEYS`) never changed a
+        fingerprint: they are dropped, and set ``reference`` when their
+        old values ran the reference path.
         """
-        data = {key: value for key, value in data.items() if key not in _LEGACY_KEYS}
+        data = dict(data)
+        for key, ran_reference in _LEGACY_KEYS.items():
+            if key in data and ran_reference(data.pop(key)):
+                data["reference"] = True
         _check_fields(data, cls)
         return cls(**data)
 
@@ -362,8 +362,8 @@ class ExperimentConfig:
         :meth:`canonical_json` serialises them.  The experiment
         service's dedup key: a fleet fingerprint is a function of the
         experiment alone, so configs that differ only in how they
-        execute (the ``debug()``, ``throughput()`` and ``faithful()``
-        presets of one experiment, say) share a hash, and a cached
+        execute (the ``throughput()`` and ``faithful()`` presets of one
+        experiment, say) share a hash, and a cached
         result is served without simulating.  Stable across processes,
         dict key orderings and serialisation round trips -- pinned by
         the hash-invariance tests.

@@ -35,20 +35,26 @@ experiment fields alone (:data:`~repro.api.config.EXPERIMENT_FIELDS`):
 the same experiment reproduces the same fingerprint here, under any
 execution settings, and from the shell via ``python -m repro fleet run``.
 
-Vehicles that repeat a behaviour key are simulated once: in
-``COUNTERS`` retention with compiled tables, the session's
-:class:`~repro.fleet.runner.OutcomeMemo` is consulted before any spec
-reaches a worker, and it is shared across work items and runs.  A
-parallel run cuts its work items by the memo's misses, not by vehicle-id
-ranges: an item closes at ``chunk_size`` vehicles or at
-``ceil(chunk_size / (workers + 2))`` misses, so a repeating fleet's
-first occurrences -- which crowd the start of the stream -- spread over
-several workers.  An item sends only its misses; its hits and
-duplicates are joined back in vehicle-id order, so the number of kernel
-runs depends on the experiment, not on the worker count.  While a
+Vehicles that repeat a behaviour key are simulated once: unless the
+config asks for the ``reference`` path, every stream, inline or
+parallel, is classified against the session's
+:class:`~repro.fleet.runner.OutcomeMemo` by
+:func:`~repro.fleet.runner.cut_work_items` before any spec runs, and
+the memo is shared across work items and runs.  Which vehicles run the
+kernel is decided there, in stream order, so the kernel runs are a
+function of the experiment (and of what earlier runs of the session
+left in the memo), never of the worker count or of timing.  An inline
+stream cuts one vehicle per item.  A parallel run cuts its work items
+by misses, not by vehicle-id ranges: an item closes at ``chunk_size``
+vehicles or at ``ceil(chunk_size / (workers + 2))`` misses, so a
+repeating fleet's first occurrences -- which crowd the start of the
+stream -- spread over several workers.  An item sends only its misses;
+its hits and duplicates are joined back in vehicle-id order.  While a
 worker runs the oldest item, the parent keeps generating and cutting
 the next ones, up to ``(workers + 2) * chunk_size`` vehicles ahead of
-its consumer.
+its consumer.  A stream that ends before joining an item (abandoned,
+or failed) discards the item's cells, so a later run simulates those
+keys again.
 """
 
 from __future__ import annotations
@@ -72,6 +78,7 @@ from repro.fleet.resilience import (
 )
 from repro.fleet.results import FleetResult, StreamingFleetAggregator, VehicleOutcome
 from repro.fleet.runner import (
+    REFERENCE_OPTIONS,
     OutcomeMemo,
     _init_worker,
     _process_builder,
@@ -79,7 +86,6 @@ from repro.fleet.runner import (
     _simulate_chunk,
     _simulate_chunk_shm,
     cut_work_items,
-    memo_applies,
     simulate_vehicle,
 )
 from repro.obs import clock
@@ -109,8 +115,8 @@ class _ChunkAttempt:
     :func:`~repro.fleet.runner.cut_work_items` cut it; ``index`` is its
     position in the stream, which fault plans and the in-order join go
     by.  ``specs`` are what the item sends to a worker: its memo misses,
-    which ``plan`` joins back with the rest (every vehicle when the memo
-    is off and ``plan`` is ``None``).  The parallel loop keeps either
+    which ``plan`` joins back with the rest (every vehicle on the
+    reference path, where ``plan`` is ``None``).  The parallel loop keeps either
     that spec list (pickle transfer) or its encoded :class:`SpecBlock`
     bytes (shm transfer -- far smaller than the objects, keeping the
     parent O(encoded-item)) so a failed attempt can be re-queued without
@@ -492,24 +498,27 @@ class FleetSession:
     def _kernel(self, config: ExperimentConfig):
         """In-process ``simulate_vehicle`` for *config*: one kernel run per call."""
         # Bound per run, so a wrapper installed on the module-level
-        # simulate_vehicle between runs (perfbench's layer tracer) sees
-        # every kernel run.
-        return partial(
-            simulate_vehicle,
-            builder=self.builder,
-            trace_level=config.trace_level,
-            inbox_limit=config.inbox_limit,
-            pool=self._inline_car_pool() if config.reuse_cars else None,
-            compile_tables=config.compile_tables,
-        )
+        # simulate_vehicle between runs (a layer tracer) sees every
+        # kernel run.
+        if config.reference:
+            return partial(simulate_vehicle, builder=self.builder, **REFERENCE_OPTIONS)
+        return partial(simulate_vehicle, builder=self.builder, pool=self._inline_car_pool())
 
     def _simulate_inline(
         self, config: ExperimentConfig, specs: Iterable[VehicleSpec]
     ) -> Iterator[VehicleOutcome]:
         simulate = self._kernel(config)
-        if memo_applies(config.trace_level, config.compile_tables):
-            return self._memo.outcomes(specs, simulate)
-        return map(simulate, specs)
+        if config.reference:
+            yield from map(simulate, specs)
+            return
+        memo = self._memo
+        for _vehicles, misses, plan in cut_work_items(specs, 1, 1, memo):
+            try:
+                outcomes = [simulate(spec) for spec in misses]
+            except BaseException:
+                memo.discard(plan)
+                raise
+            yield from memo.join(plan, outcomes)
 
     def _simulate_parallel(
         self,
@@ -520,9 +529,7 @@ class FleetSession:
         self._sweep_orphans()
         chunk_size = config.effective_chunk_size(total)
         lanes = config.workers + 2
-        memo = None
-        if memo_applies(config.trace_level, config.compile_tables):
-            memo = self._memo
+        memo = None if config.reference else self._memo
         items = enumerate(
             cut_work_items(specs, chunk_size, -(-chunk_size // lanes), memo)
         )
@@ -534,13 +541,7 @@ class FleetSession:
         # Workers get their own registry per chunk and ship back drained
         # snapshots; the telemetry flag rides in the worker kwargs, NOT
         # in the config -- fingerprints cannot see it.
-        worker_kwargs = dict(
-            trace_level=config.trace_level.value,
-            inbox_limit=config.inbox_limit,
-            reuse_cars=config.reuse_cars,
-            compile_tables=config.compile_tables,
-            telemetry=registry.enabled,
-        )
+        worker_kwargs = dict(reference=config.reference, telemetry=registry.enabled)
         pool = self._mp_pool(config.workers)
         simulate_shm = partial(_simulate_chunk_shm, **worker_kwargs)
         simulate_pickle = partial(_simulate_chunk, **worker_kwargs)
@@ -755,6 +756,9 @@ class FleetSession:
                 leftovers.append(current)
             if leftovers:
                 self._discard_in_flight(leftovers)
+                if memo is not None:
+                    for record in leftovers:
+                        memo.discard(record.plan)
             window.clear()
 
     def _discard_in_flight(self, records: "list[_ChunkAttempt]") -> None:

@@ -21,11 +21,12 @@ seeded RNG streams), and aggregation folds outcomes in vehicle-id order
 seed, which the fleet benchmark asserts.
 
 The same purity lets a fleet that repeats a script simulate it once:
-the session's :class:`OutcomeMemo` serves a repeated behaviour key from
-the outcome its first vehicle produced (see :func:`memo_applies` for
-when).  The session consults it while :func:`cut_work_items` cuts the
-stream, before anything reaches a worker, so workers have no memo: the
-chunk functions simulate exactly the specs they receive.
+on the fast path (``ExperimentConfig.reference`` off), the session's
+:class:`OutcomeMemo` serves a repeated behaviour key from the outcome
+its first vehicle produced.  :func:`cut_work_items` classifies every
+spec of an inline or parallel stream against it before anything runs,
+so workers have no memo: the chunk functions simulate exactly the specs
+they receive, on the path ``reference`` names.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ import sys
 from dataclasses import replace
 from functools import partial
 from itertools import islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.attacks.dos import BusFloodAttack, TargetedDisableAttack
 from repro.attacks.fuzzing import FuzzingAttack
@@ -88,6 +89,17 @@ _OTA_BUNDLE_LIMIT = 32
 #: ``received_ids()`` still grows with the timeline -- 4-8 bytes per
 #: delivered frame versus hundreds per retained frame object.)
 DEFAULT_FLEET_INBOX_LIMIT = 512
+
+#: :func:`simulate_vehicle` options of a fleet's reference path
+#: (``ExperimentConfig.reference``): full traces, unbounded inboxes and
+#: the approved-list object decision path, on a fresh car per vehicle
+#: (no pool) and with no outcome memo.  The fast path takes the defaults
+#: and a pool.
+REFERENCE_OPTIONS = {
+    "trace_level": TraceLevel.FULL,
+    "inbox_limit": None,
+    "compile_tables": False,
+}
 
 
 def config_for_label(label: str, compile_tables: bool = True) -> EnforcementConfig | None:
@@ -376,11 +388,12 @@ def simulate_vehicle(
 # Outcome memo
 # ---------------------------------------------------------------------------
 
-#: Most outcomes one :class:`OutcomeMemo` keeps; past it the oldest entry
-#: is evicted.  Repeating fleets draw a few dozen distinct keys, so the
-#: bound only matters for heterogeneous streams, where it caps the memo
-#: at a few MiB.  Once it evicts, a parallel run's kernel runs depend on
-#: timing (see :class:`OutcomeMemo`); its fingerprint never does.
+#: Most keys one :class:`OutcomeMemo` holds; classifying a new key past
+#: it evicts the oldest.  Repeating fleets draw a few dozen distinct
+#: keys, so the bound only matters for heterogeneous streams, where it
+#: caps the memo at a few MiB.  Eviction happens as specs are
+#: classified, so which specs run the kernel stays a function of the
+#: stream (see :func:`cut_work_items`).
 MEMO_LIMIT = 4096
 
 #: Action kinds that draw from the vehicle's seeded kernel streams
@@ -389,28 +402,21 @@ MEMO_LIMIT = 4096
 SEEDED_ACTION_KINDS = frozenset({"fuzz"})
 
 
-def memo_applies(trace_level: TraceLevel | str, compile_tables: bool) -> bool:
-    """Whether a session consults its :class:`OutcomeMemo`.
+class _Cell:
+    """One behaviour key's outcome, filled when its first occurrence joins.
 
-    Only with ``COUNTERS`` retention and compiled tables -- the default
-    and ``throughput()`` regime.  Everything else runs every vehicle
-    through the kernel, which keeps ``faithful()`` a memo-free reference.
-    """
-    return TraceLevel.coerce(trace_level) is TraceLevel.COUNTERS and compile_tables
-
-
-class _Pending:
-    """A key whose first occurrence is in a work item not yet joined.
-
-    Later duplicates of the key in the same stream are served from this
-    cell, not from the memo's entries, so an eviction between cutting
-    and joining cannot strand them.  :meth:`OutcomeMemo.join` fills it.
+    Every later occurrence classified while the key is in the memo holds
+    the cell itself, so evicting the key cannot strand a duplicate that
+    was classified before the eviction.  ``stream`` names the stream
+    that classified the first occurrence: until the cell is filled, no
+    other stream waits on it.
     """
 
-    __slots__ = ("key", "outcome")
+    __slots__ = ("key", "stream", "outcome")
 
-    def __init__(self, key: tuple) -> None:
+    def __init__(self, key: tuple, stream: object) -> None:
         self.key = key
+        self.stream = stream
         self.outcome: VehicleOutcome | None = None
 
 
@@ -419,39 +425,30 @@ class OutcomeMemo:
 
     A vehicle's deterministic outcome is a function of its behaviour key
     ``(scenario, enforcement, duration_s, actions)`` -- not of its id,
-    not of the run's ``inbox_limit`` (only attack nodes read an inbox,
-    and they keep every frame), and not of its seed unless an action
-    draws from a seeded stream (:data:`SEEDED_ACTION_KINDS`).
-    The first vehicle with a key runs the kernel; every later one gets
-    that outcome under its own id, with zeroed timings and ``memo_hit``
-    set, so :attr:`~repro.fleet.results.FleetResult.kernel_runs` counts
-    only real simulations.
+    not of the ECU inbox bound (only attack nodes read an inbox, and
+    they keep every frame), and not of its seed unless an action draws
+    from a seeded stream (:data:`SEEDED_ACTION_KINDS`).  The first
+    vehicle with a key runs the kernel; every later one gets that
+    outcome under its own id, with zeroed timings and ``memo_hit`` set,
+    so :attr:`~repro.fleet.results.FleetResult.kernel_runs` counts only
+    real simulations.
 
-    One memo per session serves both execution paths, shared across
-    work items and runs: inline streams go through :meth:`outcomes`, and
-    parallel streams are cut into work items by :func:`cut_work_items`
-    before anything is sent to a worker and :meth:`join` each item's
-    results back, so a key is simulated once whatever the worker count.
-    The memo stores its own copy of each outcome, so nothing it hands
-    out stays reachable through it.  Outcomes hold only for the builder
-    that produced them, so no memo is ever shared between sessions.
-
-    While the memo evicts nothing (its entries plus a stream's new keys
-    stay within :data:`MEMO_LIMIT`), the misses -- hence the work items
-    and the kernel runs -- are a function of the stream and the memo's
-    entries when it starts.  Past the bound, entries are evicted as
-    items are joined, and a parallel session cuts ahead of its joins by
-    as far as its workers let it: a later repeat of an evicted key may
-    then be a miss or a hit depending on timing, so ``kernel_runs``
-    varies from run to run (and already varied with the worker count).
-    Fingerprints never vary: a hit and a fresh kernel run are the same
-    outcome.
+    One memo per session serves inline and parallel streams, shared
+    across work items and runs, through one classifier:
+    :func:`cut_work_items` cuts a stream into work items before anything
+    runs, and :meth:`join` fills each item's cells from its kernel runs.
+    A stream that ends before joining an item calls :meth:`discard` on
+    it.  The memo stores its own copy of each outcome, so nothing it
+    hands out stays reachable through it.  Outcomes hold only for the
+    builder that produced them, so no memo is ever shared between
+    sessions.
     """
 
-    __slots__ = ("_entries",)
+    __slots__ = ("_cells",)
 
     def __init__(self) -> None:
-        self._entries: dict[tuple, VehicleOutcome] = {}
+        #: Key -> cell, oldest classified first.
+        self._cells: dict[tuple, _Cell] = {}
 
     @staticmethod
     def key(spec: VehicleSpec) -> tuple:
@@ -465,58 +462,38 @@ class OutcomeMemo:
             spec.seed if seeded else None,
         )
 
-    def outcomes(
-        self,
-        specs: Iterable[VehicleSpec],
-        simulate: Callable[[VehicleSpec], VehicleOutcome],
-    ) -> Iterator[VehicleOutcome]:
-        """One outcome per spec, in order, calling *simulate* on misses only."""
-        entries = self._entries
-        for spec in specs:
-            key = self.key(spec)
-            stored = entries.get(key)
-            if stored is None:
-                outcome = simulate(spec)
-                self._store(key, outcome)
-                yield outcome
-            else:
-                yield self._hit(stored, spec.vehicle_id)
-
     def join(
         self, plan: tuple, outcomes: Sequence[VehicleOutcome]
     ) -> Iterator[VehicleOutcome]:
-        """A work item's outcomes in vehicle-id order.
+        """Fill a work item's cells; return its outcomes in vehicle-id order.
 
         *plan* comes from :func:`cut_work_items`, and *outcomes* are the
-        kernel runs of the item's misses, in the order it cut them.
-        Each is stored and its key leaves the stream's in-flight cells
-        before the item's hits and duplicates are served.
+        kernel runs of the item's misses, in the order it cut them.  The
+        cells are filled before this returns, so every later item can
+        be served from them.
         """
-        sources, pending, in_flight = plan
+        sources, pending = plan
         for cell, outcome in zip(pending, outcomes, strict=True):
-            cell.outcome = self._store(cell.key, outcome)
-            del in_flight[cell.key]
+            # The template is a copy, so the memo never pins an outcome
+            # it handed to a caller (a streamed fleet releases each one).
+            cell.outcome = replace(
+                outcome, wall_seconds=0.0, build_seconds=0.0, memo_hit=True
+            )
+        return self._served(sources, outcomes)
+
+    def discard(self, plan: tuple) -> None:
+        """Forget the unfilled cells of an item its stream will never join."""
+        cells = self._cells
+        for cell in plan[1]:
+            if cell.outcome is None and cells.get(cell.key) is cell:
+                del cells[cell.key]
+
+    def _served(
+        self, sources: list, outcomes: Sequence[VehicleOutcome]
+    ) -> Iterator[VehicleOutcome]:
         own = iter(outcomes)
-        for vehicle_id, source in sources:
-            if source is None:
-                yield next(own)
-            else:
-                if type(source) is _Pending:
-                    source = source.outcome
-                yield self._hit(source, vehicle_id)
-
-    def _store(self, key: tuple, outcome: VehicleOutcome) -> VehicleOutcome:
-        """Keep *outcome* as the template every later hit on *key* copies.
-
-        The template is a copy, so the memo never pins an outcome it
-        handed to a caller (a streamed fleet releases each one).
-        """
-        stored = replace(outcome, wall_seconds=0.0, build_seconds=0.0, memo_hit=True)
-        entries = self._entries
-        if len(entries) >= MEMO_LIMIT:
-            del entries[next(iter(entries))]
-        entries[key] = stored
-        return stored
+        for vehicle_id, cell in sources:
+            yield next(own) if cell is None else self._hit(cell.outcome, vehicle_id)
 
     @staticmethod
     def _hit(stored: VehicleOutcome, vehicle_id: int) -> VehicleOutcome:
@@ -544,19 +521,21 @@ def cut_work_items(
     An item closes at *chunk_size* vehicles or at *max_misses* misses,
     whichever comes first, and pulls from *specs* only the vehicles it
     holds, so the parent holds one item's specs however long the stream
-    is.  With a *memo*, each spec is a memo entry, a duplicate of a key
-    whose first occurrence is in an item not yet joined (served from
-    that key's in-flight :class:`_Pending` cell, so an eviction before
-    the join cannot strand it), or a miss.  Only the misses run the
-    kernel; *plan* is for :meth:`OutcomeMemo.join` and holds vehicle
-    ids and where each outcome comes from, never the specs.  Without a
-    memo every spec is a miss and *plan* is ``None``.
+    is.  With a *memo*, every spec is classified in stream order: a
+    spec whose key the memo holds is served from that key's cell, and
+    any other spec is a miss whose key enters the memo (evicting the
+    oldest key at :data:`MEMO_LIMIT`).  Only the misses run the kernel;
+    *plan* is for :meth:`OutcomeMemo.join` (or
+    :meth:`OutcomeMemo.discard`) and holds vehicle ids and cells, never
+    the specs.  Without a memo every spec is a miss and *plan* is
+    ``None``.
 
+    Which specs miss is therefore a function of the stream and of the
+    memo's keys when it starts -- not of the item sizes, the worker
+    count or when items are joined -- so neither are the kernel runs.
     Cutting by misses spreads a repeating stream's first occurrences
     over several items (so over several workers) instead of leaving
-    them all in the first id range.  Boundaries depend on the stream and
-    the memo's entries, never on when items are joined, unless the memo
-    evicts (see :data:`MEMO_LIMIT`).
+    them all in the first id range.
     """
     iterator = iter(specs)
     if memo is None:
@@ -564,29 +543,37 @@ def cut_work_items(
         while misses := list(islice(iterator, size)):
             yield len(misses), misses, None
         return
-    entries = memo._entries
+    cells = memo._cells
     key_of = OutcomeMemo.key
-    # This stream's keys whose first occurrence is not joined yet.
-    in_flight: dict[tuple, _Pending] = {}
+    stream = object()
     while True:
-        sources: list[tuple[int, VehicleOutcome | _Pending | None]] = []
-        pending: list[_Pending] = []
+        sources: list[tuple[int, _Cell | None]] = []
+        pending: list[_Cell] = []
         misses: list[VehicleSpec] = []
-        for spec in iterator:
-            key = key_of(spec)
-            source = entries.get(key)
-            if source is None:
-                source = in_flight.get(key)
-                if source is None:
-                    in_flight[key] = cell = _Pending(key)
+        try:
+            for spec in iterator:
+                key = key_of(spec)
+                cell = cells.get(key)
+                if cell is None or (cell.outcome is None and cell.stream is not stream):
+                    cell = _Cell(key, stream)
+                    cells.pop(key, None)
+                    if len(cells) >= MEMO_LIMIT:
+                        del cells[next(iter(cells))]
+                    cells[key] = cell
                     pending.append(cell)
                     misses.append(spec)
-            sources.append((spec.vehicle_id, source))
-            if len(sources) == chunk_size or len(misses) == max_misses:
-                break
+                    sources.append((spec.vehicle_id, None))
+                else:
+                    sources.append((spec.vehicle_id, cell))
+                if len(sources) == chunk_size or len(misses) == max_misses:
+                    break
+        except BaseException:
+            # The stream failed mid-item: nobody will join its cells.
+            memo.discard((sources, pending))
+            raise
         if not sources:
             return
-        yield len(sources), misses, (sources, pending, in_flight)
+        yield len(sources), misses, (sources, pending)
 
 
 # ---------------------------------------------------------------------------
@@ -676,30 +663,18 @@ def _drain_chunk_telemetry(registry: MetricsRegistry | None) -> dict | None:
     return snapshot
 
 
-def _simulate_specs(
-    specs: Iterable[VehicleSpec],
-    trace_level: str,
-    inbox_limit: int | None,
-    reuse_cars: bool,
-    compile_tables: bool,
-) -> list[VehicleOutcome]:
-    simulate = partial(
-        simulate_vehicle,
-        builder=_process_builder(),
-        trace_level=trace_level,
-        inbox_limit=inbox_limit,
-        pool=_process_pool() if reuse_cars else None,
-        compile_tables=compile_tables,
-    )
+def _simulate_specs(specs: Iterable[VehicleSpec], reference: bool) -> list[VehicleOutcome]:
+    builder = _process_builder()
+    if reference:
+        simulate = partial(simulate_vehicle, builder=builder, **REFERENCE_OPTIONS)
+    else:
+        simulate = partial(simulate_vehicle, builder=builder, pool=_process_pool())
     return [simulate(spec) for spec in specs]
 
 
 def _simulate_chunk(
     specs: Sequence[VehicleSpec],
-    trace_level: str = TraceLevel.COUNTERS.value,
-    inbox_limit: int | None = DEFAULT_FLEET_INBOX_LIMIT,
-    reuse_cars: bool = True,
-    compile_tables: bool = True,
+    reference: bool = False,
     telemetry: bool = False,
     fault: "FaultEvent | None" = None,
 ) -> tuple[list[VehicleOutcome], dict | None]:
@@ -711,18 +686,13 @@ def _simulate_chunk(
     apply_worker_fault(fault)
     registry = _begin_chunk_telemetry(telemetry)
     with span("simulate"):
-        outcomes = _simulate_specs(
-            specs, trace_level, inbox_limit, reuse_cars, compile_tables
-        )
+        outcomes = _simulate_specs(specs, reference)
     return outcomes, _drain_chunk_telemetry(registry)
 
 
 def _simulate_chunk_shm(
     handle: ShmHandle,
-    trace_level: str = TraceLevel.COUNTERS.value,
-    inbox_limit: int | None = DEFAULT_FLEET_INBOX_LIMIT,
-    reuse_cars: bool = True,
-    compile_tables: bool = True,
+    reference: bool = False,
     telemetry: bool = False,
     fault: "FaultEvent | None" = None,
 ) -> tuple[ShmHandle, dict | None]:
@@ -744,9 +714,7 @@ def _simulate_chunk_shm(
     with span("simulate.decode_specs"):
         specs = SpecBlock.from_bytes(read_block(handle, unlink=True)).decode()
     with span("simulate"):
-        outcomes = _simulate_specs(
-            specs, trace_level, inbox_limit, reuse_cars, compile_tables
-        )
+        outcomes = _simulate_specs(specs, reference)
     with span("simulate.encode_outcomes"):
         out_handle = write_block(OutcomeBlock.encode(outcomes).to_bytes())
     return out_handle, _drain_chunk_telemetry(registry)

@@ -43,6 +43,16 @@ class IdRange:
         return f"0x{self.low:03X}-0x{self.high:03X}"
 
 
+def check_entries(ids: Iterable[int], ranges: Iterable[IdRange] = ()) -> None:
+    """Raise ``ValueError`` unless an approved list can hold every entry."""
+    for can_id in ids:
+        if not (isinstance(can_id, int) and 0 <= can_id <= MAX_EXTENDED_ID):
+            raise ValueError(f"identifier {can_id!r} out of range")
+    for id_range in ranges:
+        if not isinstance(id_range, IdRange):
+            raise ValueError(f"{id_range!r} is not an IdRange")
+
+
 class ApprovedIdList:
     """An approved list of CAN message identifiers.
 
@@ -152,13 +162,10 @@ class ApprovedIdList:
     def replace(self, ids: Iterable[int], ranges: Iterable[IdRange] = ()) -> None:
         """Atomically replace the whole list (policy update semantics)."""
         self._check_mutable()
-        new_ids = set()
-        for can_id in ids:
-            if not 0 <= can_id <= MAX_EXTENDED_ID:
-                raise ValueError(f"identifier 0x{can_id:X} out of range")
-            new_ids.add(can_id)
-        self._ids = new_ids
-        self._ranges = list(ranges)
+        ids, ranges = list(ids), list(ranges)
+        check_entries(ids, ranges)
+        self._ids = set(ids)
+        self._ranges = ranges
         self._invalidate_views()
 
     def clear(self) -> None:

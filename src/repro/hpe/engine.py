@@ -9,16 +9,18 @@ a :class:`repro.can.node.CANNode`.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from repro.can.fanout import invalidate
 from repro.can.frame import MAX_STANDARD_ID, CANFrame
-from repro.core.compiled import CompiledDecisionTable
-from repro.hpe.approved_list import ApprovedIdList, IdRange
+from repro.hpe.approved_list import ApprovedIdList, IdRange, check_entries
 from repro.hpe.decision_block import DEFAULT_DECISION_LATENCY_S
 from repro.hpe.filters import ReadFilter, WriteFilter
 from repro.hpe.registers import AccessError, RegisterFile
 from repro.hpe.tamper import TamperLog, TamperSource, is_authorised
+
+if TYPE_CHECKING:  # repro.core imports this module: annotations only
+    from repro.core.compiled import CompiledDecisionTable
 
 
 class HardwarePolicyEngine:
@@ -206,7 +208,11 @@ class HardwarePolicyEngine:
 
         Only an authorised source presenting the correct key succeeds.
         Every attempt -- including rejected ones -- is recorded in the
-        tamper log.  Returns ``True`` on success.
+        tamper log.  Returns ``True`` on success and ``False`` for an
+        unauthorised attempt.  An authorised push naming an identifier
+        or range the lists cannot hold raises ``ValueError``, after
+        logging the attempt, and changes nothing: both lists are checked
+        before either is unlocked.
 
         An authorised update whose lists equal the installed ones is
         still a successful push (logged and returning ``True``), but it
@@ -229,6 +235,12 @@ class HardwarePolicyEngine:
             self._read_list.matches(approved_reads, read_ranges)
             and self._write_list.matches(approved_writes, write_ranges)
         ):
+            try:
+                check_entries(approved_reads, read_ranges)
+                check_entries(approved_writes, write_ranges)
+            except ValueError:
+                self.tamper_log.record(source, description, succeeded=False)
+                raise
             self._read_list._unlock_internal()
             self._write_list._unlock_internal()
             try:

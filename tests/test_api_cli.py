@@ -48,11 +48,17 @@ class TestScenarioCommands:
 
 
 class TestConfigCommands:
-    def test_presets_lists_the_three_presets(self, capsys):
+    def test_presets_lists_the_two_presets(self, capsys):
         assert run_cli("config", "presets") == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"debug", "throughput", "faithful"}
-        assert payload["faithful"]["compile_tables"] is False
+        assert set(payload) == {"throughput", "faithful"}
+        assert payload["faithful"]["reference"] is True
+
+    def test_the_retired_debug_preset_exits_2_naming_faithful(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            run_cli("fleet", "run", "--preset", "debug", "--scenario", "x", "--vehicles", "1")
+        assert exit_info.value.code == 2
+        assert "'faithful'" in capsys.readouterr().err
 
     def test_show_resolves_flags_to_a_full_config(self, capsys):
         assert (
@@ -124,8 +130,9 @@ class TestFleetRun:
         assert a["fingerprint"] == b["fingerprint"]
 
     def test_report_from_before_the_outcome_memo_still_replays(self, tmp_path, capsys):
-        """A report whose config carries the retired ``backend`` key (and
-        whose summary has no ``kernel_runs``) replays to its fingerprint."""
+        """A report whose config carries the retired ``backend`` key and
+        the four retired execution keys (and whose summary has no
+        ``kernel_runs``) replays to its fingerprint on the fast path."""
         legacy = {
             "config": {
                 "backend": "auto",
@@ -157,7 +164,8 @@ class TestFleetRun:
         assert run_cli("fleet", "run", "--config", str(saved), "--json", str(report)) == 0
         capsys.readouterr()
         payload = json.loads(report.read_text())
-        assert "backend" not in payload["config"]
+        assert set(payload["config"]) == set(ExperimentConfig(scenario="x", vehicles=1).to_dict())
+        assert payload["config"]["reference"] is False
         assert payload["fingerprint"] == legacy["fingerprint"]
         summary = payload["summary"]
         assert 0 < summary["kernel_runs"] <= summary["vehicles"] == 6

@@ -12,18 +12,13 @@ from hypothesis import strategies as st
 
 from repro.api.cli import CONFIG_FLAGS, _resolve_config, build_parser
 from repro.api.config import EXPERIMENT_FIELDS, PRESETS, ExperimentConfig
-from repro.can.trace import TraceLevel
 from repro.core.enforcement import EnforcementConfig
-from repro.fleet.runner import DEFAULT_FLEET_INBOX_LIMIT
 from repro.fleet.scenarios import ENFORCEMENT_LABELS
 from repro.fleet.transfer import SPEC_TRANSFER_MODES
 
 
-INT_FIELDS = (
-    "vehicles", "seed", "first_vehicle_id", "workers", "retry",
-    "inbox_limit", "chunk_size",
-)
-TOGGLE_FIELDS = ("reuse_cars", "compile_tables", "degrade")
+INT_FIELDS = ("vehicles", "seed", "first_vehicle_id", "workers", "retry", "chunk_size")
+TOGGLE_FIELDS = ("reference", "degrade")
 
 #: Values a JSON config can carry that are the wrong type for the field.
 MISTYPED_FIELDS = (
@@ -36,9 +31,7 @@ MISTYPED_FIELDS = (
 class TestValidation:
     def test_defaults_are_the_fast_path(self):
         config = ExperimentConfig(scenario="fleet_replay_storm", vehicles=10)
-        assert config.trace_level is TraceLevel.COUNTERS
-        assert config.inbox_limit == DEFAULT_FLEET_INBOX_LIMIT
-        assert config.reuse_cars and config.compile_tables
+        assert config.reference is False
         assert config.workers == 1
 
     @pytest.mark.parametrize(
@@ -48,7 +41,6 @@ class TestValidation:
             ({"workers": 0}, "workers"),
             ({"first_vehicle_id": -1}, "first_vehicle_id"),
             ({"enforcement": "tinfoil"}, "enforcement label"),
-            ({"inbox_limit": 0}, "inbox_limit"),
             ({"chunk_size": 0}, "chunk_size"),
             ({"retry": -1}, "retry"),
             ({"chunk_timeout_s": 0}, "chunk_timeout_s"),
@@ -71,10 +63,6 @@ class TestValidation:
     def test_empty_scenario_raises(self):
         with pytest.raises(ValueError, match="scenario"):
             ExperimentConfig(scenario="  ", vehicles=1)
-
-    def test_bad_trace_level_raises(self):
-        with pytest.raises(ValueError):
-            ExperimentConfig(scenario="x", vehicles=1, trace_level="verbose")
 
     def test_dict_valued_parameters_stay_hashable(self):
         config = ExperimentConfig(
@@ -121,24 +109,15 @@ class TestValidation:
 
 
 class TestPresets:
-    def test_debug_is_fully_inspectable(self):
-        config = ExperimentConfig.debug("fleet_replay_storm", 5)
-        assert config.workers == 1
-        assert config.trace_level is TraceLevel.FULL
-        assert config.inbox_limit is None
-        assert not config.reuse_cars
-
     def test_throughput_is_the_fast_path(self):
         config = ExperimentConfig.throughput("fleet_replay_storm", 5)
         assert config.workers == 4
-        assert config.trace_level is TraceLevel.COUNTERS
-        assert config.reuse_cars and config.compile_tables
+        assert config.reference is False
 
-    def test_faithful_uses_the_object_decision_path(self):
+    def test_faithful_is_the_reference_path(self):
         config = ExperimentConfig.faithful("fleet_replay_storm", 5)
-        assert not config.compile_tables
-        assert not config.reuse_cars
-        assert config.trace_level is TraceLevel.FULL
+        assert config.workers == 1
+        assert config.reference is True
 
     def test_preset_accepts_overrides(self):
         config = ExperimentConfig.preset("throughput", "x", 5, workers=2, seed=9)
@@ -150,13 +129,12 @@ class TestPresets:
             ExperimentConfig.preset("warp", "x", 5)
 
     def test_preset_registry_names(self):
-        assert set(PRESETS) == {"debug", "throughput", "faithful"}
+        assert set(PRESETS) == {"throughput", "faithful"}
 
     def test_resilience_posture_per_preset(self):
-        # Debug and faithful want failures loud; throughput heals them.
-        assert ExperimentConfig.debug("x", 5).retry == 0
-        assert ExperimentConfig.debug("x", 5).degrade is False
+        # Faithful wants failures loud; throughput heals them.
         assert ExperimentConfig.faithful("x", 5).retry == 0
+        assert ExperimentConfig.faithful("x", 5).degrade is False
         throughput = ExperimentConfig.throughput("x", 5)
         assert throughput.retry == 2
         assert throughput.chunk_timeout_s == 120.0
@@ -171,12 +149,9 @@ class TestSerialisation:
             seed=7,
             enforcement="hpe-only",
             scenario_parameters={"frames": (30, 80)},
-            trace_level="ring",
-            inbox_limit=None,
+            reference=True,
             workers=4,
             chunk_size=5,
-            reuse_cars=False,
-            compile_tables=False,
         )
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
@@ -222,12 +197,9 @@ class TestSerialisation:
             ),
             max_size=4,
         ),
-        trace_level=st.sampled_from(list(TraceLevel)),
-        inbox_limit=st.one_of(st.none(), st.integers(min_value=1, max_value=10**5)),
+        reference=st.booleans(),
         workers=st.integers(min_value=1, max_value=16),
         chunk_size=st.one_of(st.none(), st.integers(min_value=1, max_value=512)),
-        reuse_cars=st.booleans(),
-        compile_tables=st.booleans(),
         retry=st.integers(min_value=0, max_value=5),
         chunk_timeout_s=st.one_of(
             st.none(), st.floats(min_value=0.001, max_value=3600.0)
@@ -235,8 +207,7 @@ class TestSerialisation:
         degrade=st.booleans(),
     )
     def test_property_round_trips(self, scenario, vehicles, seed, first_vehicle_id,
-                                  enforcement, params, trace_level, inbox_limit,
-                                  workers, chunk_size, reuse_cars, compile_tables,
+                                  enforcement, params, reference, workers, chunk_size,
                                   retry, chunk_timeout_s, degrade):
         config = ExperimentConfig(
             scenario=scenario,
@@ -245,12 +216,9 @@ class TestSerialisation:
             first_vehicle_id=first_vehicle_id,
             enforcement=enforcement,
             scenario_parameters=params,
-            trace_level=trace_level,
-            inbox_limit=inbox_limit,
+            reference=reference,
             workers=workers,
             chunk_size=chunk_size,
-            reuse_cars=reuse_cars,
-            compile_tables=compile_tables,
             retry=retry,
             chunk_timeout_s=chunk_timeout_s,
             degrade=degrade,
@@ -260,6 +228,44 @@ class TestSerialisation:
         assert ExperimentConfig.from_json(
             json.dumps(json.loads(config.to_json()))
         ) == config
+
+
+#: Retired execution keys an old config may carry, and whether its value
+#: ran the reference path: without the outcome memo.
+LEGACY_VALUES = [
+    ({"trace_level": "counters"}, False),
+    ({"trace_level": "ring"}, True),
+    ({"trace_level": "FULL"}, True),
+    ({"compile_tables": True}, False),
+    ({"compile_tables": False}, True),
+    ({"reuse_cars": False}, False),
+    ({"inbox_limit": None}, False),
+    ({"inbox_limit": 1}, False),
+    ({"backend": "object"}, False),
+    ({"trace_level": "counters", "compile_tables": False, "reference": False}, True),
+]
+
+
+class TestLegacyKeys:
+    @pytest.mark.parametrize("legacy, reference", LEGACY_VALUES)
+    def test_retired_keys_load_onto_the_reference_switch(self, legacy, reference):
+        config = ExperimentConfig.from_dict({"scenario": "x", "vehicles": 3, **legacy})
+        assert config == ExperimentConfig(scenario="x", vehicles=3, reference=reference)
+
+    @pytest.mark.parametrize(
+        "legacy, match",
+        [
+            ({"trace_level": "verbose"}, "unknown trace level"),
+            ({"inbox_limit": 0}, "inbox_limit"),
+            ({"inbox_limit": 2.5}, "inbox_limit"),
+            ({"inbox_limit": True}, "inbox_limit"),
+            ({"reuse_cars": 1}, "reuse_cars"),
+            ({"compile_tables": "true"}, "compile_tables"),
+        ],
+    )
+    def test_a_value_the_old_field_refused_is_still_refused(self, legacy, match):
+        with pytest.raises(ValueError, match=match):
+            ExperimentConfig.from_dict({"scenario": "x", "vehicles": 3, **legacy})
 
 
 #: One override per experiment field (each must move the hash) ...
@@ -274,13 +280,10 @@ EXPERIMENT_OVERRIDES = [
 
 #: ... and one per execution field (none may).
 EXECUTION_OVERRIDES = [
-    {"trace_level": "full"},
-    {"inbox_limit": None},
+    {"reference": True},
     {"workers": 2},
     {"chunk_size": 3},
     {"spec_transfer": "pickle"},
-    {"reuse_cars": False},
-    {"compile_tables": False},
     {"retry": 0},
     {"chunk_timeout_s": 30.0},
     {"degrade": False},
@@ -357,7 +360,7 @@ class TestConfigHash:
             scenario="mixed_ev_dos",
             vehicles=5,
             scenario_parameters={"window": (0.25, 0.5), "tags": ["a", "b"]},
-            trace_level="ring",
+            reference=True,
         )
         once = ExperimentConfig.from_dict(config.to_dict())
         twice = ExperimentConfig.from_json(once.to_json())
@@ -401,12 +404,9 @@ class TestCliEquivalence:
             first_vehicle_id=100,
             enforcement="unprotected",
             scenario_parameters={"frames": (30, 80), "note": "sweep"},
-            trace_level="ring",
-            inbox_limit=None,
+            reference=True,
             workers=2,
             chunk_size=4,
-            reuse_cars=False,
-            compile_tables=False,
             retry=4,
             chunk_timeout_s=45.0,
             degrade=False,
@@ -466,13 +466,10 @@ CONFIGS = st.builds(
         PARAM_VALUES,
         max_size=3,
     ),
-    trace_level=st.sampled_from(list(TraceLevel)),
-    inbox_limit=st.one_of(st.none(), st.integers(min_value=1, max_value=10**5)),
+    reference=st.booleans(),
     workers=st.integers(min_value=1, max_value=64),
     chunk_size=st.one_of(st.none(), st.integers(min_value=1, max_value=10**4)),
     spec_transfer=st.sampled_from(SPEC_TRANSFER_MODES),
-    reuse_cars=st.booleans(),
-    compile_tables=st.booleans(),
     retry=st.integers(min_value=0, max_value=10),
     chunk_timeout_s=st.one_of(
         st.none(), st.floats(min_value=1e-6, max_value=1e6)

@@ -4,10 +4,12 @@ The fleet hot path's biggest lifecycle saving -- one warm
 :class:`~repro.vehicle.car.ConnectedCar` per enforcement configuration
 per worker, rewound by :meth:`ConnectedCar.reset` between vehicles --
 is only admissible if reuse is observationally invisible.  These tests
-pin that contract: identical fleet fingerprints for fresh-built versus
-pooled execution at 1 and 4 workers, pristine state after reset
-(counters, inboxes, modes, rogue nodes, OTA'd policies), and the
-:class:`~repro.casestudy.builder.CarPool` bookkeeping itself.
+pin that contract: pristine state after reset (counters, inboxes, modes,
+rogue nodes, OTA'd policies) and the
+:class:`~repro.casestudy.builder.CarPool` bookkeeping itself.  At fleet
+scale, the fast path (pooled cars) and the reference path (a fresh car
+per vehicle) are held to one fingerprint by the execution-plan property
+in ``test_fleet_memo.py``.
 """
 
 import pytest
@@ -159,32 +161,8 @@ def _run(scenario, vehicles, **execution):
 
 
 class TestPooledFleetDeterminism:
-    @pytest.mark.parametrize("scenario", ["fleet_replay_storm", "mixed_ev_dos"])
-    def test_pooled_matches_fresh_single_worker(self, scenario):
-        fresh = _run(scenario, 24, workers=1, reuse_cars=False)
-        pooled = _run(scenario, 24, workers=1, reuse_cars=True)
-        assert fresh.fingerprint() == pooled.fingerprint()
-        assert fresh.frames_transmitted == pooled.frames_transmitted
-        assert fresh.frames_blocked == pooled.frames_blocked
-        assert fresh.attacks_mitigated == pooled.attacks_mitigated
-
-    def test_pooled_matches_fresh_across_worker_counts(self):
-        reference = _run("fleet_replay_storm", 24, workers=1, reuse_cars=False)
-        for workers in (1, 4):
-            pooled = _run("fleet_replay_storm", 24, workers=workers, reuse_cars=True)
-            assert pooled.fingerprint() == reference.fingerprint(), workers
-
-    def test_compiled_and_object_paths_agree_pooled(self):
-        compiled = _run(
-            "staggered_ota_rollout", 16, workers=1, reuse_cars=True, compile_tables=True
-        )
-        object_path = _run(
-            "staggered_ota_rollout", 16, workers=1, reuse_cars=True, compile_tables=False
-        )
-        assert compiled.fingerprint() == object_path.fingerprint()
-
     def test_build_seconds_split_out_of_wall_seconds(self):
-        result = _run("baseline_cruise", 6, workers=1, reuse_cars=False)
+        result = _run("baseline_cruise", 6, workers=1, reference=True)
         assert result.build_wall_seconds > 0.0
         assert result.simulation_wall_seconds > 0.0
         assert result.sim_vehicles_per_second >= result.vehicles_per_second

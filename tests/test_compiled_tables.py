@@ -114,19 +114,30 @@ class TestCompiledVsEffective:
         assert len(evaluator._compiled) == 0
 
 
-def _engine_pair(read_ids, write_ids):
-    """One engine with a compiled table installed, one without."""
-    plain = HardwarePolicyEngine("n", read_ids, write_ids)
-    fast = HardwarePolicyEngine("n", read_ids, write_ids)
-    table = CompiledDecisionTable(
+def _table(read_ids, write_ids) -> CompiledDecisionTable:
+    return CompiledDecisionTable(
         node="n",
         read_mask=build_mask(read_ids),
         write_mask=build_mask(write_ids),
         read_overflow=frozenset(i for i in read_ids if i > MAX_STANDARD_ID),
         write_overflow=frozenset(i for i in write_ids if i > MAX_STANDARD_ID),
     )
-    fast.install_compiled_table(table)
+
+
+def _engine_pair(read_ids, write_ids):
+    """One engine with a compiled table installed, one without."""
+    plain = HardwarePolicyEngine("n", read_ids, write_ids)
+    fast = HardwarePolicyEngine("n", read_ids, write_ids)
+    fast.install_compiled_table(_table(read_ids, write_ids))
     return plain, fast
+
+
+def _assert_paths_agree(engine: HardwarePolicyEngine, probes) -> None:
+    """The engine decides as its authoritative approved lists do."""
+    for can_id in probes:
+        frame = CANFrame(can_id=can_id)
+        assert engine.permit_read(frame) == engine.read_filter.approved.approves(can_id)
+        assert engine.permit_write(frame) == engine.write_filter.approved.approves(can_id)
 
 
 class TestEngineEquivalence:
@@ -162,6 +173,22 @@ class TestEngineEquivalence:
         assert not fast.update_policy((0x40,), (0x50,), key=0xBAD)
         assert fast.compiled_table is not None
         assert fast.permit_read(CANFrame(can_id=0x10))
+
+    def test_refused_push_changes_nothing_and_is_logged(self):
+        # The write list's -1 is refused; the read list must not have
+        # been replaced by then, or the kept table would deny 0x40 while
+        # the authoritative list grants it.
+        plain, fast = _engine_pair((0x10,), (0x30,))
+        table = fast.compiled_table
+        with pytest.raises(ValueError, match="-1"):
+            fast.update_policy((0x40,), (-1,), key=0xC0FFEE)
+        assert fast.approved_read_ids == {0x10}
+        assert fast.approved_write_ids == {0x30}
+        assert fast.compiled_table is table
+        assert fast.read_filter.approved.locked and fast.write_filter.approved.locked
+        (attempt,) = fast.tamper_log.attempts()
+        assert not attempt.succeeded
+        _assert_paths_agree(fast, (0x10, 0x30, 0x40))
 
     def test_unchanged_update_keeps_table_and_epoch(self):
         plain, fast = _engine_pair((0x10, 0x20), (0x30,))
@@ -210,6 +237,45 @@ def test_fuzzed_engine_equivalence(read_ids, write_ids, probes):
         assert plain.permit_write(frame) == fast.permit_write(frame)
     assert plain.decisions_made == fast.decisions_made
     assert plain.frames_blocked == fast.frames_blocked
+
+
+#: A push: read ids, write ids (each may hold an id no list can hold),
+#: the right key or not, and whether the coordinator then re-installs a
+#: table for the new lists.
+PUSHES = st.lists(
+    st.tuples(
+        *[st.lists(st.integers(min_value=-2, max_value=0x40), max_size=4)] * 2,
+        st.booleans(),
+        st.booleans(),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@given(pushes=PUSHES)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_pushes_keep_compiled_and_object_paths_alike(pushes):
+    """Each push is logged once, a refused one changes nothing, and the
+    compiled path never disagrees with the approved lists."""
+    _, engine = _engine_pair((0x10,), (0x30,))
+    for reads, writes, right_key, reinstall in pushes:
+        before = (engine.approved_read_ids, engine.approved_write_ids, engine.compiled_table)
+        logged = len(engine.tamper_log)
+        try:
+            accepted = engine.update_policy(reads, writes, key=0xC0FFEE if right_key else 0)
+        except ValueError:
+            assert right_key and min(reads + writes) < 0
+            accepted = False
+        assert len(engine.tamper_log) == logged + 1
+        assert engine.tamper_log.attempts()[-1].succeeded is accepted
+        if accepted:
+            assert (engine.approved_read_ids, engine.approved_write_ids) == (set(reads), set(writes))
+            if reinstall and engine.compiled_table is None:
+                engine.install_compiled_table(_table(reads, writes))
+        else:
+            assert (engine.approved_read_ids, engine.approved_write_ids, engine.compiled_table) == before
+        _assert_paths_agree(engine, range(0x42))
 
 
 @given(

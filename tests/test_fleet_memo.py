@@ -7,8 +7,10 @@ assert that on random spec streams from every registered scenario and
 on hand-built streams, pin the seed rule (``fuzz`` specs key on their
 seed, everything else shares one kernel run across seeds), pin the
 memo's scope (one per session, consulted before any spec reaches a
-worker; workers keep none), and check that throughput and telemetry
-count kernel runs, not vehicles.
+worker; workers keep none), check that throughput and telemetry count
+kernel runs, not vehicles, and that the kernel runs are a function of
+the experiment: one classifier decides them, inline and parallel, at
+any memo bound, and a stream that ends early leaves nothing half done.
 """
 
 import dataclasses
@@ -24,16 +26,10 @@ from hypothesis import strategies as st
 
 from repro.api import ExperimentConfig, FleetSession
 from repro.api import session as session_module
-from repro.can.trace import TraceLevel
 from repro.casestudy.builder import CaseStudyBuilder
 from repro.fleet import runner
-from repro.fleet.resilience import FaultPlan
-from repro.fleet.runner import (
-    OutcomeMemo,
-    cut_work_items,
-    memo_applies,
-    simulate_vehicle,
-)
+from repro.fleet.resilience import ChunkFailedError, FaultPlan
+from repro.fleet.runner import OutcomeMemo, cut_work_items, simulate_vehicle
 from repro.fleet.scenarios import (
     ENFORCEMENT_LABELS,
     VehicleAction,
@@ -62,22 +58,17 @@ def _object_tuples(specs):
     return _tuples(simulate_vehicle(spec) for spec in specs)
 
 
-class _CountingSimulate:
-    """``simulate_vehicle`` with a call counter: the memo's kernel runs."""
-
-    def __init__(self) -> None:
-        self.calls = 0
-
-    def __call__(self, spec):
-        self.calls += 1
-        return simulate_vehicle(spec)
-
-
 def _memo_run(specs, memo=None):
+    """The inline path: cut one vehicle per item and join it at once.
+
+    Returns the outcomes and the number of kernel runs.
+    """
     memo = OutcomeMemo() if memo is None else memo
-    simulate = _CountingSimulate()
-    outcomes = list(memo.outcomes(specs, simulate))
-    return outcomes, simulate.calls
+    outcomes, kernel_runs = [], 0
+    for _vehicles, misses, plan in cut_work_items(specs, 1, 1, memo):
+        kernel_runs += len(misses)
+        outcomes.extend(memo.join(plan, [simulate_vehicle(spec) for spec in misses]))
+    return outcomes, kernel_runs
 
 
 def _spec(vehicle_id, actions, enforcement="hpe+selinux", duration_s=0.1, seed=7):
@@ -124,18 +115,6 @@ class TestSeedRule:
         outcomes, kernel_runs = _memo_run(specs)
         assert kernel_runs == 1
         assert _tuples(outcomes) == _object_tuples(specs)
-
-    def test_inbox_limit_is_not_part_of_the_key(self):
-        # Inbox retention cannot move an outcome (the inbox-limit probes
-        # in test_fleet_trace_levels.py), so runs at different bounds
-        # share one session's memo.
-        config = ExperimentConfig(scenario="baseline_cruise", vehicles=12, seed=2018)
-        with FleetSession(config) as session:
-            bounded = session.run_config(config.with_overrides(inbox_limit=1))
-            unbounded = session.run_config(config.with_overrides(inbox_limit=None))
-        assert bounded.kernel_runs > 0
-        assert unbounded.kernel_runs == 0
-        assert unbounded.fingerprint() == bounded.fingerprint()
 
 
 class TestKey:
@@ -254,8 +233,7 @@ def _cut_run(memo, specs, chunk_size, max_misses=None):
         kernel_runs += len(misses)
         ran = [simulate_vehicle(spec) for spec in misses]
         outcomes.extend(memo.join(plan, ran))
-    if items:
-        assert items[-1][2][2] == {}  # every in-flight cell was released
+    assert all(cell.outcome is not None for cell in memo._cells.values())
     return outcomes, kernel_runs
 
 
@@ -317,6 +295,19 @@ class TestCutJoin:
         assert next(items)[0] == 10
         assert len(pulled) == 20
 
+    def test_a_stream_that_fails_mid_item_leaves_no_cell(self):
+        memo = OutcomeMemo()
+        _cut_run(memo, _mixed_keys(3), 3)
+
+        def failing():
+            yield from _mixed_keys(9)[3:]
+            raise ValueError("spec generation failed")
+
+        with pytest.raises(ValueError, match="spec generation"):
+            list(cut_work_items(failing(), 10, 10, memo))
+        assert len(memo._cells) == 3
+        assert all(cell.outcome is not None for cell in memo._cells.values())
+
     def test_the_cutter_handles_a_ragged_tail(self):
         specs = [
             _spec(i, [VehicleAction(0.0, "drive", {"accel": 40 + i})]) for i in range(7)
@@ -346,25 +337,32 @@ class TestCutJoin:
         assert _tuples(outcomes) == _object_tuples(specs + copies)
         assert all(o.memo_hit for o in outcomes[len(specs):])
 
-    def test_eviction_cannot_strand_an_in_flight_duplicate(self, monkeypatch):
+    def test_a_duplicate_classified_before_its_keys_eviction_is_served(
+        self, monkeypatch
+    ):
         monkeypatch.setattr(runner, "MEMO_LIMIT", 1)
-        first = [
-            _spec(i, [VehicleAction(0.0, "drive", {"accel": 40 + i})]) for i in range(3)
-        ]
-        again = [dataclasses.replace(spec, vehicle_id=3 + i) for i, spec in enumerate(first)]
-        # Joining the first item stores three keys into a one-entry
-        # memo; the second item was cut against their cells.
-        outcomes, kernel_runs = _cut_run(OutcomeMemo(), first + again, 3)
-        assert kernel_runs == 3
-        assert _tuples(outcomes) == _object_tuples(first + again)
+        a, b = (
+            _spec(i, [VehicleAction(0.0, "drive", {"accel": 40 + i})]) for i in range(2)
+        )
+        stream = [a, dataclasses.replace(a, vehicle_id=2), b, dataclasses.replace(a, vehicle_id=3)]
+        # The second A holds A's cell before B evicts the key, so only
+        # the first A and B miss -- and the last A, classified after the
+        # eviction, misses again.  In one item or in four, joined late
+        # or at once: the same three kernel runs.
+        for chunk_size in (1, 4):
+            outcomes, kernel_runs = _cut_run(OutcomeMemo(), stream, chunk_size)
+            assert kernel_runs == 3
+            assert [o.memo_hit for o in outcomes] == [False, True, False, False]
+            assert _tuples(outcomes) == _object_tuples(stream)
+        assert _memo_run(stream)[1] == 3
 
     def test_the_memo_pins_no_outcome_it_hands_out(self):
         specs, copies = _reseeded_fleet("baseline_cruise")
         memo = OutcomeMemo()
         handed = _cut_run(memo, specs, 8)[0]
-        handed += memo.outcomes(copies, simulate_vehicle)
+        handed += _memo_run(copies, memo)[0]
         unseen = [dataclasses.replace(spec, scenario="unseen") for spec in specs]
-        handed += memo.outcomes(unseen, simulate_vehicle)  # inline misses
+        handed += _memo_run(unseen, memo)[0]  # inline misses
         refs = [weakref.ref(outcome) for outcome in handed]
         del handed
         gc.collect()
@@ -414,36 +412,23 @@ class TestBound:
 
 
 class TestRegime:
-    def test_memo_applies_only_to_counters_with_compiled_tables(self):
-        assert memo_applies("counters", True)
-        assert not memo_applies("counters", False)
-        assert not memo_applies("full", True)
-        assert not memo_applies("ring", True)
-
     def test_faithful_preset_runs_every_vehicle(self):
         config = ExperimentConfig.faithful("baseline_cruise", 24, seed=2018)
         with FleetSession(config) as session:
             result = session.run()
         assert result.kernel_runs == result.vehicles == 24
 
-    @pytest.mark.parametrize(
-        "trace_level, compile_tables",
-        [("full", True), ("ring", True), ("counters", False)],
-    )
-    def test_parallel_runs_outside_the_regime_bypass_the_memo(
-        self, trace_level, compile_tables
-    ):
+    def test_parallel_reference_runs_bypass_the_memo(self):
         config = ExperimentConfig(
-            scenario="baseline_cruise", vehicles=24, seed=2018, workers=2,
-            trace_level=trace_level, compile_tables=compile_tables,
+            scenario="baseline_cruise", vehicles=24, seed=2018, workers=2, reference=True
         )
         with FleetSession(config) as session:
             result = session.run()
             assert result.kernel_runs == result.vehicles == 24
-            # Nothing was stored either: a memo-regime run starts cold.
-            cold = session.run_config(config.with_overrides(trace_level="counters",
-                                                            compile_tables=True))
+            # Nothing was stored either: a fast-path run starts cold.
+            cold = session.run_config(config.with_overrides(reference=False))
         assert cold.kernel_runs > 0
+        assert cold.fingerprint() == result.fingerprint()
 
 
 class TestEscapeParameters:
@@ -658,20 +643,6 @@ class TestSessions:
         assert result.kernel_runs == len(distinct)
         assert result.fingerprint() == faithful_fingerprints["fuzz_probe"]
 
-    def test_throughput_preset_consults_the_memo(self, faithful_fingerprints):
-        config = ExperimentConfig.throughput("baseline_cruise", 24, seed=2018, workers=2)
-        with FleetSession(config) as session:
-            result = session.run()
-        assert 0 < result.kernel_runs < result.vehicles == 24
-        assert result.fingerprint() == faithful_fingerprints["baseline_cruise"]
-
-    def test_debug_preset_runs_every_vehicle(self, faithful_fingerprints):
-        config = ExperimentConfig.debug("baseline_cruise", 24, seed=2018)
-        with FleetSession(config) as session:
-            result = session.run()
-        assert result.kernel_runs == result.vehicles == 24
-        assert result.fingerprint() == faithful_fingerprints["baseline_cruise"]
-
     def test_session_memo_persists_across_runs(self):
         config = ExperimentConfig(scenario="baseline_cruise", vehicles=12, seed=2018)
         with FleetSession(config) as session:
@@ -729,17 +700,14 @@ def repeating():
     )
 
 
-#: All ten execution fields.  Chunk timeouts are off or far above any
+#: All seven execution fields.  Chunk timeouts are off or far above any
 #: chunk's runtime, so no drawn plan can fail a run.
 EXECUTION_PLANS = st.fixed_dictionaries(
     {
-        "trace_level": st.sampled_from(list(TraceLevel)),
-        "inbox_limit": st.sampled_from([1, runner.DEFAULT_FLEET_INBOX_LIMIT, None]),
+        "reference": st.booleans(),
         "workers": st.sampled_from([1, 2, 4]),
         "chunk_size": st.sampled_from([4, None]),
         "spec_transfer": st.sampled_from(SPEC_TRANSFER_MODES),
-        "reuse_cars": st.booleans(),
-        "compile_tables": st.booleans(),
         "retry": st.integers(min_value=0, max_value=2),
         "chunk_timeout_s": st.sampled_from([None, 600.0]),
         "degrade": st.booleans(),
@@ -772,10 +740,10 @@ class TestOneMemoPerSession:
                 specs = session.vehicle_specs()
                 result = session.run()
             assert result.fingerprint() == faithful_fingerprints[name]
-            if memo_applies(config.trace_level, config.compile_tables):
-                assert result.kernel_runs == len({OutcomeMemo.key(spec) for spec in specs})
-            else:
+            if config.reference:
                 assert result.kernel_runs == result.vehicles
+            else:
+                assert result.kernel_runs == len({OutcomeMemo.key(spec) for spec in specs})
 
     def test_eviction_cannot_break_a_parallel_stream(self, repeating, monkeypatch):
         monkeypatch.setattr(runner, "MEMO_LIMIT", 1)
@@ -783,6 +751,22 @@ class TestOneMemoPerSession:
         with FleetSession(config) as session:
             result = session.run()
         assert result.fingerprint() == repeating[0]
+
+    @pytest.mark.parametrize("limit", [1, 8])
+    def test_an_evicting_memo_counts_the_same_kernel_runs_at_any_worker_count(
+        self, repeating, monkeypatch, limit
+    ):
+        # Eviction happens as specs are classified, in stream order, so
+        # it cannot depend on how far the parent cuts ahead of its joins.
+        monkeypatch.setattr(runner, "MEMO_LIMIT", limit)
+        kernel_runs = set()
+        for workers in (1, 2, 4):
+            with FleetSession(ExperimentConfig(**REPEATING, workers=workers)) as session:
+                result = session.run()
+            assert result.fingerprint() == repeating[0]
+            kernel_runs.add(result.kernel_runs)
+        assert len(kernel_runs) == 1
+        assert kernel_runs.pop() > repeating[1]
 
     def test_chunks_with_nothing_to_run_never_reach_a_worker(self):
         config = ExperimentConfig(
@@ -845,6 +829,52 @@ class TestOneMemoPerSession:
         assert snapshot.counter(recovery) == 1
         assert result.kernel_runs == distinct
         assert result.fingerprint() == fingerprint
+
+
+class TestStreamsThatEndEarly:
+    """A stream that ends before joining an item leaves no unfilled cell:
+    a later run simulates every key it left unjoined."""
+
+    @pytest.mark.parametrize(
+        "workers, end",
+        [(2, "abandoned"), (1, ValueError), (2, ChunkFailedError)],
+        ids=["abandoned", "kernel-error-inline", "chunk-failed"],
+    )
+    def test_a_later_run_simulates_what_it_left_unjoined(self, repeating, workers, end):
+        config = ExperimentConfig(
+            **REPEATING, workers=workers, chunk_size=4, retry=0, degrade=False
+        )
+        with FleetSession(config) as session:
+            specs = session.vehicle_specs()
+            if end == "abandoned":
+                stream = session.iter_outcomes()
+                for _ in range(6):
+                    next(stream)
+                stream.close()  # items cut ahead of the consumer are never joined
+            else:
+                # The kernel refuses vehicle 20's action, inline or in a worker.
+                refused = dataclasses.replace(
+                    specs[20], actions=(VehicleAction(0.0, "teleport", {}),)
+                )
+                with pytest.raises(end, match="teleport"):
+                    session.run_specs(specs[:20] + [refused] + specs[21:], "baseline_cruise")
+            cells = session._memo._cells
+            assert all(cell.outcome is not None for cell in cells.values())
+            unjoined = {OutcomeMemo.key(spec) for spec in specs} - set(cells)
+            assert unjoined
+            result = session.run_specs(specs, "baseline_cruise")
+        assert result.kernel_runs == len(unjoined)
+        assert result.fingerprint() == repeating[0]
+
+    def test_a_stream_never_waits_on_another_open_streams_cells(self, repeating):
+        config = ExperimentConfig(**REPEATING, workers=2, chunk_size=4)
+        with FleetSession(config) as session:
+            suspended = session.iter_outcomes()
+            next(suspended)  # its window is cut ahead, its cells unfilled
+            assert session.run().fingerprint() == repeating[0]
+            rest = list(suspended)
+            assert len(rest) == 47
+            assert session.last_result.fingerprint() == repeating[0]
 
 
 @pytest.mark.parametrize("module", ["numpy", "networkx"])

@@ -8,7 +8,7 @@ from repro.api import ExperimentConfig, FleetSession
 from repro.casestudy.builder import CaseStudyBuilder
 from repro.core.updates import PolicyUpdateBundle
 from repro.fleet import runner
-from repro.fleet.runner import config_for_label, simulate_vehicle
+from repro.fleet.runner import REFERENCE_OPTIONS, config_for_label, simulate_vehicle
 from repro.fleet.scenarios import VehicleAction, VehicleSpec
 
 #: Small fleet sizes keep the multiprocessing tests fast while still
@@ -149,14 +149,8 @@ class TestRepeatedAttacks:
             ),
             duration_s=0.3,
         )
-        faithful = ExperimentConfig.faithful("baseline_cruise", 1)
         outcome = simulate_vehicle(spec)
-        reference = simulate_vehicle(
-            spec,
-            trace_level=faithful.trace_level,
-            inbox_limit=faithful.inbox_limit,
-            compile_tables=faithful.compile_tables,
-        )
+        reference = simulate_vehicle(spec, **REFERENCE_OPTIONS)
         assert outcome.attacks_attempted == 2
         assert outcome.deterministic_tuple() == reference.deterministic_tuple()
 

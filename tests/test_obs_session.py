@@ -182,7 +182,7 @@ class TestWorkerMerge:
             scenario="fleet_replay_storm", vehicles=6, workers=2, seed=5
         )
         with FleetSession(config, telemetry=True) as session:
-            session.run_matrix([{}, {"trace_level": "ring"}])
+            session.run_matrix([{}, {"reference": True}])
             snapshot = session.metrics_snapshot()
         assert snapshot.counter("session.runs") == 2
         assert snapshot.counter("vehicles.simulated") == 12

@@ -98,9 +98,28 @@ class TestSubmit:
         assert a.config_hash == b.config_hash
 
     def test_config_round_trips_through_the_store(self, store):
-        cfg = config(scenario_parameters={"burst": (2, 5)}, trace_level="ring")
+        cfg = config(scenario_parameters={"burst": (2, 5)}, reference=True)
         job, _ = store.submit(cfg)
         assert store.job(job.id).config_object() == cfg
+
+    def test_a_job_stored_with_retired_execution_keys_loads(self, store):
+        # A row written while trace_level, inbox_limit, reuse_cars and
+        # compile_tables were fields: a ring trace ran without the memo.
+        legacy = {
+            key: value
+            for key, value in config().to_dict().items()
+            if key != "reference"
+        }
+        legacy.update(trace_level="ring", inbox_limit=None, reuse_cars=True,
+                      compile_tables=True)
+        with store.transaction() as conn:
+            conn.execute(
+                "INSERT INTO jobs (config_hash, config, state, priority, "
+                "max_attempts, submitted_at) VALUES (?, ?, 'queued', 0, 3, 0)",
+                (config().config_hash(), json.dumps(legacy, sort_keys=True)),
+            )
+        (job,) = store.jobs()
+        assert job.config_object() == config(reference=True)
 
 
 class TestInspection:
