@@ -5,7 +5,8 @@ The fleet hot path's biggest lifecycle saving -- one warm
 per worker, rewound by :meth:`ConnectedCar.reset` between vehicles --
 is only admissible if reuse is observationally invisible.  These tests
 pin that contract: pristine state after reset (counters, inboxes, modes,
-rogue nodes, OTA'd policies) and the
+rogue nodes, OTA'd policies), the same outcome for every vehicle of a
+fleet whether its car came from the pool or a fresh build, and the
 :class:`~repro.casestudy.builder.CarPool` bookkeeping itself.  At fleet
 scale, the fast path (pooled cars) and the reference path (a fresh car
 per vehicle) are held to one fingerprint by the execution-plan property
@@ -19,6 +20,8 @@ from repro.attacks.attacker import MaliciousNode
 from repro.can.trace import TraceLevel
 from repro.casestudy.builder import CarPool, CaseStudyBuilder
 from repro.core.enforcement import EnforcementConfig
+from repro.fleet.runner import simulate_vehicle
+from repro.fleet.scenarios import get_scenario
 from repro.vehicle.modes import CarMode
 
 SEED = 99
@@ -152,6 +155,15 @@ class TestCarPool:
         pool.acquire(None)
         pool.clear()
         assert len(pool) == 0
+
+    @pytest.mark.parametrize("scenario", ["fleet_replay_storm", "mixed_ev_dos"])
+    def test_pooled_outcomes_match_fresh_builds(self, builder, scenario):
+        specs = get_scenario(scenario).vehicle_specs(24, SEED)
+        pool = CarPool(builder)
+        fresh = [simulate_vehicle(spec, builder).deterministic_tuple() for spec in specs]
+        pooled = [simulate_vehicle(spec, pool=pool).deterministic_tuple() for spec in specs]
+        assert pooled == fresh
+        assert pool.reuses > 0
 
 
 def _run(scenario, vehicles, **execution):

@@ -430,6 +430,28 @@ class TestRegime:
         assert cold.kernel_runs > 0
         assert cold.fingerprint() == result.fingerprint()
 
+    @pytest.mark.parametrize(
+        "trace_level, compile_tables",
+        [("full", True), ("ring", True), ("counters", False)],
+    )
+    def test_parallel_runs_outside_the_regime_bypass_the_memo(
+        self, trace_level, compile_tables
+    ):
+        # A config saved before the reference switch, with a retired
+        # field that kept it off the memo, still runs every vehicle.
+        config = ExperimentConfig.from_dict({
+            "scenario": "baseline_cruise", "vehicles": 24, "seed": 2018, "workers": 2,
+            "trace_level": trace_level, "compile_tables": compile_tables,
+        })
+        assert config.reference is True
+        with FleetSession(config) as session:
+            result = session.run()
+            assert result.kernel_runs == result.vehicles == 24
+            # Nothing was stored either: a fast-path run starts cold.
+            cold = session.run_config(config.with_overrides(reference=False))
+        assert cold.kernel_runs > 0
+        assert cold.fingerprint() == result.fingerprint()
+
 
 class TestEscapeParameters:
     def test_params_beyond_64_bits_key_exactly_through_shm_blocks(self):
@@ -642,6 +664,13 @@ class TestSessions:
         distinct = {OutcomeMemo.key(spec) for spec in specs}
         assert result.kernel_runs == len(distinct)
         assert result.fingerprint() == faithful_fingerprints["fuzz_probe"]
+
+    def test_throughput_preset_consults_the_memo(self, faithful_fingerprints):
+        config = ExperimentConfig.throughput("baseline_cruise", 24, seed=2018, workers=2)
+        with FleetSession(config) as session:
+            result = session.run()
+        assert 0 < result.kernel_runs < result.vehicles == 24
+        assert result.fingerprint() == faithful_fingerprints["baseline_cruise"]
 
     def test_session_memo_persists_across_runs(self):
         config = ExperimentConfig(scenario="baseline_cruise", vehicles=12, seed=2018)
